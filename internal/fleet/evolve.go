@@ -41,7 +41,6 @@ import (
 
 	"clrdse/internal/dse"
 	"clrdse/internal/fleet/metrics"
-	"clrdse/internal/mapping"
 	"clrdse/internal/runtime"
 )
 
@@ -174,26 +173,40 @@ func (w *shadowWindow) addSample(s DivergenceSample) {
 	w.sampleMu.Unlock()
 }
 
+// newIndex builds one database version's decide index. It is a
+// variable so tests can count the builds a swap performs.
+var newIndex = runtime.NewIndex
+
 // build precomputes the database's derived read-only state: the
-// pairwise dRC matrix, the per-point canonical mapping keys (shadow
+// content identity (see identify) and the decide index every manager
+// on this version shares.
+func (n *NamedDatabase) build() error {
+	n.identify()
+	ix, err := newIndex(n.DB, n.Space, nil)
+	if err != nil {
+		return err
+	}
+	n.index = ix
+	return nil
+}
+
+// identify computes the per-point canonical mapping keys (shadow
 // agreement and migration remapping compare configurations, not
-// version-relative point IDs), and the content fingerprint over both
-// keys and metrics.
-func (n *NamedDatabase) build() {
-	maps := n.DB.Mappings()
-	n.matrix = mapping.NewDRCMatrix(n.Space, maps)
-	n.keys = make([]string, len(maps))
-	n.keyIdx = make(map[string]int, len(maps))
+// version-relative point IDs) and the content fingerprint over both
+// keys and metrics — everything but the decide index, so an
+// idempotent adopt can be recognised before paying for one.
+func (n *NamedDatabase) identify() {
+	n.keys = make([]string, n.DB.Len())
+	n.keyIdx = make(map[string]int, n.DB.Len())
 	h := fnv.New64a()
 	var buf [8]byte
-	for i, m := range maps {
-		n.keys[i] = m.Key()
+	for i, p := range n.DB.Points {
+		n.keys[i] = p.M.Key()
 		if _, dup := n.keyIdx[n.keys[i]]; !dup {
 			n.keyIdx[n.keys[i]] = i
 		}
 		h.Write([]byte(n.keys[i]))
 		h.Write([]byte{0})
-		p := n.DB.Points[i]
 		for _, v := range [...]float64{p.MakespanMs, p.Reliability, p.EnergyMJ, p.PeakPowerW, p.MTTFMs} {
 			binary.BigEndian.PutUint64(buf[:], math.Float64bits(v))
 			h.Write(buf[:])
@@ -237,7 +250,9 @@ func (r *Registry) ProposeDatabase(name string, db *dse.Database) error {
 		return fmt.Errorf("fleet: propose %q: %w", name, err)
 	}
 	cand := &NamedDatabase{Name: name, DB: db, Space: active.Space}
-	cand.build()
+	if err := cand.build(); err != nil {
+		return fmt.Errorf("fleet: propose %q: %w", name, err)
+	}
 	// The fresh window is installed before the candidate it judges: a
 	// racing shadowScore can then never observe the new candidate with
 	// the old window still in place (scores for the old candidate land
@@ -310,9 +325,12 @@ func (r *Registry) AdoptDatabase(name string, db *dse.Database) error {
 		return fmt.Errorf("fleet: adopt %q: %w", name, err)
 	}
 	next := &NamedDatabase{Name: name, DB: db, Space: active.Space}
-	next.build()
+	next.identify()
 	if db.Version == active.DB.Version && next.fp == active.fp {
 		return nil // already serving exactly this database
+	}
+	if err := next.build(); err != nil {
+		return fmt.Errorf("fleet: adopt %q: %w", name, err)
 	}
 	st.prev = active
 	st.active.Store(next)
@@ -448,9 +466,7 @@ func (st *dbState) status() EvolveStatus {
 // the given database version.
 func newManagerOn(n *NamedDatabase, p DeviceParams, boot runtime.QoSSpec) (*runtime.Manager, error) {
 	mp := runtime.ManagerParams{
-		DB:                     n.DB,
-		Space:                  n.Space,
-		Matrix:                 n.matrix,
+		Index:                  n.index,
 		PRC:                    p.PRC,
 		Trigger:                p.Trigger,
 		Policy:                 p.Policy,
@@ -555,7 +571,9 @@ func (r *Registry) syncVersion(d *device) {
 // shadow manager and accounts agreement or divergence. It runs under
 // the device semaphore, after the real decision committed; the shadow
 // decision is compared by chosen configuration (mapping key) and is
-// never served, journaled or cached.
+// never served, journaled or cached — so it decides through
+// Manager.Advance, which builds neither the plan nor the cost
+// decomposition a served decision carries.
 //
 // For agentless (uRA) devices the shadow decision is a pure function
 // of (current shadow point, spec), so a one-entry memo short-circuits
@@ -575,10 +593,10 @@ func (r *Registry) shadowScore(d *device, seq uint64, spec runtime.QoSSpec, dec 
 		if err := d.shadow.Replay(shadowTo, 0); err != nil {
 			// Unreachable for a memo recorded against this manager;
 			// fall back to a full decision if it ever happens.
-			shadowTo = d.shadow.OnQoSChange(spec).To
+			shadowTo = d.shadow.Advance(spec)
 		}
 	} else {
-		shadowTo = d.shadow.OnQoSChange(spec).To
+		shadowTo = d.shadow.Advance(spec)
 		d.memoMgr, d.memoFrom, d.memoSpec, d.memoTo = d.shadow, cur, spec, shadowTo
 	}
 	st := d.state

@@ -67,13 +67,15 @@ type NamedDatabase struct {
 	// Space prices reconfigurations between the stored points.
 	Space *mapping.Space
 
-	// matrix is the precomputed pairwise dRC table over DB, built once
-	// per database version and shared read-only by every device on
-	// this database — registering a device costs O(|DB|) instead of the
-	// O(|DB|^2) dRC computations a private table would need.
-	matrix *mapping.DRCMatrix
+	// index is the immutable decide index of this database version —
+	// the mappings, the makespan order and the pairwise dRC matrix with
+	// its transition-cost table — built once per version and shared
+	// read-only by every manager deciding on it (active, shadow,
+	// retained and imported alike), so registering a device costs O(1)
+	// memory in the database size.
+	index *runtime.Index
 	// keys/keyIdx are the per-point canonical mapping keys and their
-	// reverse index, built with the matrix. Point IDs are only
+	// reverse index, built with the index. Point IDs are only
 	// meaningful within one database version; the keys identify
 	// configurations across versions (shadow agreement, migration
 	// remapping).
@@ -368,7 +370,9 @@ func NewRegistry(dbs []NamedDatabase, shards int) (*Registry, error) {
 		if err := db.DB.Validate(db.Space); err != nil {
 			return nil, fmt.Errorf("fleet: database %q: %w", db.Name, err)
 		}
-		db.build()
+		if err := db.build(); err != nil {
+			return nil, fmt.Errorf("fleet: database %q: %w", db.Name, err)
+		}
 		st := &dbState{
 			name: db.Name,
 			activeVer: r.met.Gauge("clr_evolve_active_version",

@@ -14,12 +14,15 @@ package mapping
 //     DRC(from, to).Total(), for callers that never look at the cost
 //     decomposition;
 //   - DRCMatrix: the |DB|x|DB| table of totals, precomputed once per
-//     database and shared read-only by any number of managers;
+//     database and shared read-only by any number of managers, plus a
+//     lazily filled table of full cost decompositions for the
+//     transitions managers actually realise;
 //   - DRCCache: a lazily-memoised average-distance cache for
 //     configurations outside the database (ReD candidates).
 
 import (
 	"sync"
+	"sync/atomic"
 )
 
 // drcScratch holds the per-PRR resident-bitstream work lists reused
@@ -114,19 +117,46 @@ func (s *Space) DRCTotal(from, to *Mapping) float64 {
 
 // DRCMatrix holds the scalar reconfiguration cost between every
 // ordered pair of a frozen set of mappings — typically a deployed
-// design-point database. It is built once and immutable afterwards,
-// so any number of goroutines (one manager per fleet device) may read
-// it without synchronisation.
+// design-point database. The totals are built once and immutable
+// afterwards, so any number of goroutines (one manager per fleet
+// device) may read them without synchronisation.
+//
+// Alongside the totals the matrix keeps the transition-cost table: the
+// full ReconfigCost decomposition of each ordered pair, filled lazily
+// on the first Cost call for that pair. Only realised reconfigurations
+// need the decomposition, and they are a small fraction of the |DB|^2
+// pairs, so a row is allocated on the first transition out of its
+// source point. An entry never changes once stored, and every manager
+// sharing the matrix shares the table.
 type DRCMatrix struct {
 	n      int
 	totals []float64 // row-major: totals[from*n+to]
+
+	space *Space
+	maps  []*Mapping
+	// trans[from] is the lazily allocated transition-cost row of one
+	// source point; each cell is stored at most once (racing first
+	// fills compute the same value and one of them wins).
+	trans []atomic.Pointer[costRow]
+}
+
+// costRow is one source point's slice of the transition-cost table.
+type costRow struct {
+	cells []atomic.Pointer[ReconfigCost]
 }
 
 // NewDRCMatrix precomputes the |maps|^2 pairwise totals. Every entry
-// is bit-identical to Space.DRC(maps[from], maps[to]).Total().
+// is bit-identical to Space.DRC(maps[from], maps[to]).Total(). The
+// matrix retains s and maps to fill its transition-cost table.
 func NewDRCMatrix(s *Space, maps []*Mapping) *DRCMatrix {
 	n := len(maps)
-	m := &DRCMatrix{n: n, totals: make([]float64, n*n)}
+	m := &DRCMatrix{
+		n:      n,
+		totals: make([]float64, n*n),
+		space:  s,
+		maps:   maps,
+		trans:  make([]atomic.Pointer[costRow], n),
+	}
 	for i, from := range maps {
 		row := m.totals[i*n : (i+1)*n]
 		for j, to := range maps {
@@ -145,6 +175,36 @@ func (m *DRCMatrix) Len() int { return m.n }
 // Total returns the precomputed dRC of switching from stored point
 // `from` to stored point `to`.
 func (m *DRCMatrix) Total(from, to int) float64 { return m.totals[from*m.n+to] }
+
+// Row returns the precomputed dRC totals out of stored point `from`,
+// indexed by destination point. The slice aliases the matrix and must
+// not be modified.
+func (m *DRCMatrix) Row(from int) []float64 {
+	return m.totals[from*m.n : (from+1)*m.n : (from+1)*m.n]
+}
+
+// Cost returns the full decomposition DRC(maps[from], maps[to]) of a
+// transition between stored points, computing it at most once per pair
+// for the matrix's lifetime. Steady-state calls allocate nothing.
+func (m *DRCMatrix) Cost(from, to int) ReconfigCost {
+	slot := &m.trans[from]
+	row := slot.Load()
+	if row == nil {
+		fresh := &costRow{cells: make([]atomic.Pointer[ReconfigCost], m.n)}
+		if slot.CompareAndSwap(nil, fresh) {
+			row = fresh
+		} else {
+			row = slot.Load()
+		}
+	}
+	cell := &row.cells[to]
+	if c := cell.Load(); c != nil {
+		return *c
+	}
+	c := m.space.DRC(m.maps[from], m.maps[to])
+	cell.CompareAndSwap(nil, &c)
+	return c
+}
 
 // DRCCache memoises average reconfiguration distances from arbitrary
 // (typically out-of-database) configurations to a frozen stored set,

@@ -46,10 +46,16 @@ type Decision struct {
 // decision order (e.g. replaying a recorded trace) must still provide
 // events from one goroutine. The optional Agent is stepped under the
 // same lock and must not be shared between managers.
+//
+// A manager holds only what the decide path reads — the shared Index,
+// pRC, trigger, policy, agent and episode clock — so a uRA manager's
+// state is O(1) in the database size.
 type Manager struct {
-	mu  sync.Mutex
-	sim *simState
-	cur int
+	mu sync.Mutex
+	d  decider
+	// interArrival is the agent's episode-clock increment per event.
+	interArrival float64
+	cur          int
 	// events counts OnQoSChange calls (feeds the agent's episode
 	// clock when no cycle timestamps are supplied).
 	events int
@@ -58,14 +64,21 @@ type Manager struct {
 // ManagerParams configures a Manager. The QoS model and Cycles fields
 // of Params are unused (the environment is real, not simulated).
 type ManagerParams struct {
+	// Index, when non-nil, is the shared decide index of the database
+	// version the manager serves (see NewIndex). Every manager on one
+	// version should share one index; DB, Space and Matrix may then be
+	// left nil, and must be the index's own when set. Nil builds a
+	// private index from DB, Space and Matrix.
+	Index *Index
 	// DB is the stored design-point database.
 	DB *dse.Database
 	// Space prices reconfigurations.
 	Space *mapping.Space
 	// Matrix, when non-nil, is the precomputed pairwise dRC table for
 	// DB. A fleet of managers on the same database should share one
-	// matrix (see mapping.NewDRCMatrix); nil builds a private one,
-	// which costs |DB|^2 dRC computations per manager.
+	// matrix (see mapping.NewDRCMatrix) — and with it the matrix's
+	// transition-cost table; nil builds a private one, which costs
+	// |DB|^2 dRC computations per manager.
 	Matrix *mapping.DRCMatrix
 	// PRC is the user modulation parameter pRC in [0,1].
 	PRC float64
@@ -84,26 +97,34 @@ type ManagerParams struct {
 // NewManager boots a manager into the best feasible point for the
 // initial specification (or the least-violating point).
 func NewManager(p ManagerParams, initial QoSSpec) (*Manager, error) {
-	inner := Params{
-		DB:                     p.DB,
-		Space:                  p.Space,
-		Matrix:                 p.Matrix,
-		PRC:                    p.PRC,
-		Trigger:                p.Trigger,
-		Policy:                 p.Policy,
-		Agent:                  p.Agent,
-		MeanInterArrivalCycles: p.MeanInterArrivalCycles,
+	ix := p.Index
+	if ix == nil {
+		var err error
+		if ix, err = NewIndex(p.DB, p.Space, p.Matrix); err != nil {
+			return nil, err
+		}
+	} else if (p.DB != nil && p.DB != ix.db) || (p.Space != nil && p.Space != ix.space) || (p.Matrix != nil && p.Matrix != ix.mat) {
+		return nil, fmt.Errorf("runtime: ManagerParams DB, Space or Matrix differ from the shared Index's")
 	}
-	if err := inner.validate(); err != nil {
-		return nil, err
+	switch {
+	case p.PRC < 0 || p.PRC > 1:
+		return nil, fmt.Errorf("runtime: pRC must be in [0,1], got %v", p.PRC)
+	case p.MeanInterArrivalCycles < 0:
+		return nil, fmt.Errorf("runtime: MeanInterArrivalCycles must be positive")
 	}
-	pp := inner.withDefaults()
-	// withDefaults derives a QoS model from the database; unused for
-	// decisions but keeps the embedded state consistent.
-	m := &Manager{sim: newSimState(&pp)}
-	m.cur = m.sim.bestBoot(initial)
+	m := &Manager{
+		d:            decider{ix: ix, prc: p.PRC, trigger: p.Trigger, policy: p.Policy, agent: p.Agent},
+		interArrival: p.MeanInterArrivalCycles,
+	}
+	if m.interArrival == 0 {
+		m.interArrival = 100
+	}
+	m.cur, _ = ix.cheapestFeasible(initial)
 	return m, nil
 }
+
+// Index returns the decide index the manager decides against.
+func (m *Manager) Index() *Index { return m.d.ix }
 
 // Current returns the stored design-point ID in force.
 func (m *Manager) Current() int {
@@ -116,7 +137,7 @@ func (m *Manager) Current() int {
 func (m *Manager) CurrentPoint() *dse.DesignPoint {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.sim.p.DB.Points[m.cur]
+	return m.d.ix.db.Points[m.cur]
 }
 
 // OnQoSChange reacts to a new specification and returns the decision
@@ -136,27 +157,54 @@ func (m *Manager) OnQoSChange(spec QoSSpec) Decision {
 func (m *Manager) OnQoSChangeObserved(spec QoSSpec, rec StageRecorder) (Decision, DecisionDetail) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	next, cost, violated, detail := m.sim.decideObserved(m.cur, spec, rec)
+	ix := m.d.ix
+	next, violated, detail := m.d.decide(m.cur, spec, rec)
 	d := Decision{From: m.cur, To: next, Violated: violated}
 	if next != m.cur {
 		d.Reconfigured = true
-		d.Cost = cost
+		d.Cost = ix.mat.Cost(m.cur, next)
 		endSwitch := startStage(rec, StageSwitch)
-		d.Plan = m.sim.p.Space.Diff(m.sim.maps[m.cur], m.sim.maps[next])
+		d.Plan = ix.space.Diff(ix.maps[m.cur], ix.maps[next])
 		endSwitch()
 	}
+	m.advance(next, d.Cost.Total(), rec)
+	return d, detail
+}
+
+// Advance reacts to a new specification exactly as OnQoSChange does —
+// the same choice, agent update and event clock — but returns only the
+// chosen point: it builds neither the plan nor the cost decomposition.
+// Shadow scoring, which compares choices and discards everything else,
+// decides through it.
+func (m *Manager) Advance(spec QoSSpec) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	next, _, _ := m.d.decide(m.cur, spec, nil)
+	drc := 0.0
+	if next != m.cur && m.d.agent != nil {
+		// The agent learns the decomposition's total, exactly as
+		// OnQoSChange teaches it; a uRA manager needs no cost at all.
+		drc = m.d.ix.mat.Cost(m.cur, next).Total()
+	}
+	m.advance(next, drc, nil)
+	return next
+}
+
+// advance commits a decision: the event clock ticks, the agent (when
+// present) learns the step, and the configuration moves to next. The
+// caller holds m.mu.
+func (m *Manager) advance(next int, drc float64, rec StageRecorder) {
 	m.events++
-	if ag := m.sim.p.Agent; ag != nil {
+	if ag := m.d.agent; ag != nil {
 		// Approximate the episode clock by the expected inter-arrival
 		// time; callers with real timestamps can manage the agent
 		// themselves via Agent.Pretrain / step sequences.
 		endAgent := startStage(rec, StageAgent)
-		t := float64(m.events) * m.sim.p.MeanInterArrivalCycles
-		ag.step(next, -m.sim.p.DB.Points[next].EnergyMJ, cost.Total(), t)
+		t := float64(m.events) * m.interArrival
+		ag.step(next, -m.d.ix.db.Points[next].EnergyMJ, drc, t)
 		endAgent()
 	}
 	m.cur = next
-	return d, detail
 }
 
 // Events returns how many QoS changes the manager has processed
@@ -180,15 +228,10 @@ func (m *Manager) Events() int {
 func (m *Manager) Replay(to int, drcTotal float64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if to < 0 || to >= len(m.sim.p.DB.Points) {
-		return fmt.Errorf("runtime: replay target point %d outside database [0,%d)", to, len(m.sim.p.DB.Points))
+	if n := m.d.ix.Len(); to < 0 || to >= n {
+		return fmt.Errorf("runtime: replay target point %d outside database [0,%d)", to, n)
 	}
-	m.events++
-	if ag := m.sim.p.Agent; ag != nil {
-		t := float64(m.events) * m.sim.p.MeanInterArrivalCycles
-		ag.step(to, -m.sim.p.DB.Points[to].EnergyMJ, drcTotal, t)
-	}
-	m.cur = to
+	m.advance(to, drcTotal, nil)
 	return nil
 }
 
@@ -201,8 +244,8 @@ func (m *Manager) Replay(to int, drcTotal float64) error {
 func (m *Manager) Restore(cur, events int) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if cur < 0 || cur >= len(m.sim.p.DB.Points) {
-		return fmt.Errorf("runtime: restore point %d outside database [0,%d)", cur, len(m.sim.p.DB.Points))
+	if n := m.d.ix.Len(); cur < 0 || cur >= n {
+		return fmt.Errorf("runtime: restore point %d outside database [0,%d)", cur, n)
 	}
 	if events < 0 {
 		return fmt.Errorf("runtime: restore event count %d is negative", events)

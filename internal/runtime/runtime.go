@@ -29,7 +29,6 @@ package runtime
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"clrdse/internal/dse"
 	"clrdse/internal/mapping"
@@ -207,7 +206,8 @@ type Params struct {
 	// table for DB (mapping.NewDRCMatrix over DB.Mappings()). It must
 	// cover exactly DB's points. Nil computes the table at simulation
 	// start; sharing one matrix across runs (or across a fleet of
-	// managers on the same database) amortises that precomputation.
+	// managers on the same database) amortises that precomputation and
+	// the matrix's transition-cost table.
 	Matrix *mapping.DRCMatrix
 	// QoS generates specifications; zero value selects
 	// ModelFromDatabase(DB).
@@ -254,19 +254,16 @@ func (p *Params) withDefaults() Params {
 }
 
 func (p *Params) validate() error {
+	if err := checkIndexInputs(p.DB, p.Space, p.Matrix); err != nil {
+		return err
+	}
 	switch {
-	case p.DB == nil || p.DB.Len() == 0:
-		return fmt.Errorf("runtime: empty design-point database")
-	case p.Space == nil:
-		return fmt.Errorf("runtime: nil Space")
 	case p.PRC < 0 || p.PRC > 1:
 		return fmt.Errorf("runtime: pRC must be in [0,1], got %v", p.PRC)
 	case p.MeanInterArrivalCycles < 0:
 		return fmt.Errorf("runtime: MeanInterArrivalCycles must be positive")
 	case p.Cycles < 0:
 		return fmt.Errorf("runtime: Cycles must be positive")
-	case p.Matrix != nil && p.Matrix.Len() != p.DB.Len():
-		return fmt.Errorf("runtime: dRC matrix covers %d points, database has %d", p.Matrix.Len(), p.DB.Len())
 	}
 	return nil
 }
@@ -331,7 +328,11 @@ func Simulate(p Params) (*Metrics, error) {
 	eventRNG := r.Split(1)
 	specRNG := r.Split(2)
 
-	sim := newSimState(&p)
+	ix, err := NewIndex(p.DB, p.Space, p.Matrix)
+	if err != nil {
+		return nil, err
+	}
+	sim := decider{ix: ix, prc: p.PRC, trigger: p.Trigger, policy: p.Policy, agent: p.Agent}
 	met := &Metrics{}
 	if p.Agent != nil {
 		p.Agent.resetClock()
@@ -351,7 +352,8 @@ func Simulate(p Params) (*Metrics, error) {
 		return stream.Next(specRNG)
 	}
 	spec := nextSpec()
-	cur := sim.bestBoot(spec)
+	cur, bootViolated := ix.cheapestFeasible(spec)
+	met.FeasibilityChecks = cheapestInspections(ix.Len(), bootViolated)
 
 	t := 0.0
 	energyCycles := 0.0
@@ -365,7 +367,8 @@ func Simulate(p Params) (*Metrics, error) {
 		energyCycles += dt * p.DB.Points[cur].EnergyMJ
 
 		spec = nextSpec()
-		next, cost, violated := sim.decide(cur, spec)
+		next, violated, detail := sim.decide(cur, spec, nil)
+		met.FeasibilityChecks += inspections(ix.Len(), detail)
 
 		entry := TraceEntry{
 			Event:     met.Events,
@@ -374,7 +377,9 @@ func Simulate(p Params) (*Metrics, error) {
 			Point:     next,
 			Violated:  violated,
 		}
+		var cost mapping.ReconfigCost
 		if next != cur {
+			cost = ix.mat.Cost(cur, next)
 			met.Reconfigs++
 			met.TotalDRC += cost.Total()
 			met.TotalMigrations += cost.MigratedTasks
@@ -403,264 +408,5 @@ func Simulate(p Params) (*Metrics, error) {
 		met.AvgDRC = met.TotalDRC / float64(met.Events)
 	}
 	met.AvgEnergyMJ = energyCycles / p.Cycles
-	met.FeasibilityChecks = sim.checks
 	return met, nil
-}
-
-// simState holds the per-run lookup structures: the precomputed dRC
-// matrix driving every score, the full-decomposition cache for the
-// (rare) realised transitions, the makespan-sorted feasibility index
-// and the scratch slices the per-event decision loop reuses instead
-// of allocating.
-type simState struct {
-	p     *Params
-	maps  []*mapping.Mapping
-	mat   *mapping.DRCMatrix
-	costs map[[2]int]mapping.ReconfigCost // full decompositions, realised moves only
-	// byMakespan orders point IDs by ascending makespan (ties by ID)
-	// so the feasibility filter can stop at the first stored point
-	// whose makespan exceeds the specification.
-	byMakespan []int
-	checks     int // stored-point inspections (decision-latency proxy)
-	// Per-event scratch, reused across the whole run.
-	feas         []int
-	perf, cost   []float64
-	normP, normC []float64
-}
-
-func newSimState(p *Params) *simState {
-	s := &simState{
-		p:     p,
-		maps:  p.DB.Mappings(),
-		mat:   p.Matrix,
-		costs: make(map[[2]int]mapping.ReconfigCost),
-	}
-	if s.mat == nil {
-		s.mat = mapping.NewDRCMatrix(p.Space, s.maps)
-	}
-	s.byMakespan = make([]int, len(s.maps))
-	for i := range s.byMakespan {
-		s.byMakespan[i] = i
-	}
-	sort.Slice(s.byMakespan, func(a, b int) bool {
-		pa, pb := s.byMakespan[a], s.byMakespan[b]
-		ma, mb := s.p.DB.Points[pa].MakespanMs, s.p.DB.Points[pb].MakespanMs
-		if ma != mb {
-			return ma < mb
-		}
-		return pa < pb
-	})
-	return s
-}
-
-// fullDRC returns the complete cost decomposition of a transition,
-// memoised per pair. Only realised reconfigurations need it; the
-// scoring loops read scalar totals straight from the matrix.
-func (s *simState) fullDRC(from, to int) mapping.ReconfigCost {
-	key := [2]int{from, to}
-	if c, ok := s.costs[key]; ok {
-		return c
-	}
-	c := s.p.Space.DRC(s.maps[from], s.maps[to])
-	s.costs[key] = c
-	return c
-}
-
-// feasible fills the scratch feasibility list with the IDs of every
-// stored point satisfying the spec. Points are inspected in
-// ascending-makespan order so the scan stops at the first one over
-// the makespan bound; the list therefore comes back makespan-ordered,
-// not ID-ordered, and every consumer's tie-breaking rule is written
-// to be order-independent (lowest ID, or the current point for RET).
-// The checks counter still accounts one inspection per stored point,
-// keeping the decision-latency proxy comparable across
-// implementations.
-func (s *simState) feasible(spec QoSSpec) []int {
-	s.checks += len(s.p.DB.Points)
-	feas := s.feas[:0]
-	for _, i := range s.byMakespan {
-		pt := s.p.DB.Points[i]
-		if pt.MakespanMs > spec.SMaxMs {
-			break
-		}
-		if pt.Reliability >= spec.FMin {
-			feas = append(feas, i)
-		}
-	}
-	s.feas = feas
-	return feas
-}
-
-// bestBoot picks the initial configuration: the feasible point with
-// the best performance (lowest energy), or the least-violating point
-// if the first spec is unsatisfiable.
-func (s *simState) bestBoot(spec QoSSpec) int {
-	best, bestJ := -1, math.Inf(1)
-	for _, i := range s.feasible(spec) {
-		pt := s.p.DB.Points[i]
-		if pt.EnergyMJ < bestJ || (pt.EnergyMJ == bestJ && i < best) {
-			best, bestJ = i, pt.EnergyMJ
-		}
-	}
-	if best >= 0 {
-		return best
-	}
-	return s.leastViolating(spec)
-}
-
-// decide applies the trigger policy and the (u/Au)RA scoring to pick
-// the configuration for the new specification. It returns the chosen
-// point, the reconfiguration cost of moving there (zero cost if
-// staying), and whether the spec was unsatisfiable.
-func (s *simState) decide(cur int, spec QoSSpec) (int, mapping.ReconfigCost, bool) {
-	next, cost, violated, _ := s.decideObserved(cur, spec, nil)
-	return next, cost, violated
-}
-
-// decideObserved is decide with per-stage spans (rec may be nil) and
-// the explained-decision detail the journal records. The decision
-// itself is byte-identical to decide's: observation only reads.
-func (s *simState) decideObserved(cur int, spec QoSSpec, rec StageRecorder) (int, mapping.ReconfigCost, bool, DecisionDetail) {
-	endFilter := startStage(rec, StageFilter)
-	curOK := s.p.DB.Points[cur].Feasible(spec.SMaxMs, spec.FMin)
-	if s.p.Trigger == TriggerOnViolation && curOK {
-		endFilter()
-		return cur, mapping.ReconfigCost{}, false, DecisionDetail{
-			Candidates: 1, Infeasible: 0, TriggerSkipped: true,
-		}
-	}
-	feas := s.feasible(spec)
-	detail := DecisionDetail{
-		Candidates: len(feas),
-		Infeasible: len(s.p.DB.Points) - len(feas),
-	}
-	if len(feas) == 0 {
-		// No stored point satisfies the spec: degrade gracefully to
-		// the least-violating point (and pay its dRC if we move).
-		next := s.leastViolating(spec)
-		endFilter()
-		if next == cur {
-			return cur, mapping.ReconfigCost{}, true, detail
-		}
-		return next, s.fullDRC(cur, next), true, detail
-	}
-	endFilter()
-	endScore := startStage(rec, StageScore)
-	var next int
-	if s.p.Policy == PolicyHypervolume {
-		next, detail.Score = s.selectHypervolume(feas, spec)
-	} else {
-		next, detail.Score = s.selectRET(cur, feas)
-	}
-	endScore()
-	if next == cur {
-		return cur, mapping.ReconfigCost{}, false, detail
-	}
-	return next, s.fullDRC(cur, next), false, detail
-}
-
-// selectHypervolume returns the feasible point sweeping the largest
-// QoS-plane area against the specification's reference point
-// (S_SPEC, F_SPEC): (S_SPEC - S) * (F - F_SPEC), together with that
-// winning area. Ties break towards the lowest point ID for
-// determinism, independent of the candidate list's order.
-func (s *simState) selectHypervolume(feas []int, spec QoSSpec) (int, float64) {
-	best, bestV := -1, math.Inf(-1)
-	for _, i := range feas {
-		pt := s.p.DB.Points[i]
-		v := (spec.SMaxMs - pt.MakespanMs) * (pt.Reliability - spec.FMin)
-		if v > bestV || (v == bestV && i < best) {
-			best, bestV = i, v
-		}
-	}
-	return best, bestV
-}
-
-// selectRET implements Algorithm 1 lines 4-11 (and its AuRA variant):
-// score each feasible point by the weighted, normalised combination of
-// performance and reconfiguration cost and return the argmax with its
-// winning RET score.
-func (s *simState) selectRET(cur int, feas []int) (int, float64) {
-	n := len(feas)
-	s.perf = growFloats(s.perf, n) // R(p) = -J_app(p), higher better
-	s.cost = growFloats(s.cost, n) // dRC from current config
-	perf, cost := s.perf, s.cost
-	for k, i := range feas {
-		perf[k] = -s.p.DB.Points[i].EnergyMJ
-		cost[k] = s.mat.Total(cur, i)
-		if ag := s.p.Agent; ag != nil && ag.Gamma > 0 {
-			// One-step lookahead with learned continuation values:
-			// gamma = 0 reduces to the instantaneous uRA scores.
-			perf[k] += ag.Gamma * ag.VR[i]
-			cost[k] += ag.Gamma * ag.VD[i]
-		}
-	}
-	s.normP = growFloats(s.normP, n)
-	s.normC = growFloats(s.normC, n)
-	normalizeInto(s.normP, perf)
-	normalizeInto(s.normC, cost)
-	// Argmax with order-independent tie-breaking: among equal-score
-	// maxima, prefer staying at the current point (a free transition),
-	// otherwise the lowest point ID — exactly the winner an
-	// ascending-ID scan with the classic "strictly greater, or equal
-	// and current" update would pick.
-	best, bestRET := -1, math.Inf(-1)
-	for k, i := range feas {
-		ret := s.p.PRC*s.normP[k] - (1-s.p.PRC)*s.normC[k]
-		switch {
-		case ret > bestRET:
-			best, bestRET = i, ret
-		case ret == bestRET && best != cur && (i == cur || i < best):
-			best = i
-		}
-	}
-	return best, bestRET
-}
-
-// leastViolating returns the stored point with the smallest relative
-// constraint violation for the spec.
-func (s *simState) leastViolating(spec QoSSpec) int {
-	best, bestV := 0, math.Inf(1)
-	s.checks += len(s.p.DB.Points)
-	for i, pt := range s.p.DB.Points {
-		v := 0.0
-		if pt.MakespanMs > spec.SMaxMs {
-			v += (pt.MakespanMs - spec.SMaxMs) / spec.SMaxMs
-		}
-		if pt.Reliability < spec.FMin {
-			v += spec.FMin - pt.Reliability
-		}
-		if v < bestV {
-			best, bestV = i, v
-		}
-	}
-	return best
-}
-
-// growFloats returns a slice of length n backed by s's storage when it
-// fits, so per-event scoring reuses one allocation across a whole run.
-func growFloats(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-// normalizeInto maps xs to [0,1] by min-max scaling into dst (same
-// length); a constant vector maps to all zeros.
-func normalizeInto(dst, xs []float64) {
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, x := range xs {
-		lo = math.Min(lo, x)
-		hi = math.Max(hi, x)
-	}
-	if hi == lo {
-		for i := range dst {
-			dst[i] = 0
-		}
-		return
-	}
-	for i, x := range xs {
-		dst[i] = (x - lo) / (hi - lo)
-	}
 }

@@ -473,7 +473,10 @@ func TestHypervolumePolicyReconfiguresMoreThanLazyRET(t *testing.T) {
 
 func TestHypervolumePolicyPicksLargestArea(t *testing.T) {
 	f := getFixture(t)
-	sim := newSimState(&Params{DB: f.base, Space: f.problem.Space, Policy: PolicyHypervolume})
+	ix, err := NewIndex(f.base, f.problem.Space, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var feas []int
 	for i := range f.base.Points {
 		feas = append(feas, i)
@@ -481,7 +484,7 @@ func TestHypervolumePolicyPicksLargestArea(t *testing.T) {
 	// Loose spec: every point feasible; the winner must maximise
 	// (SSpec-S)*(F-FSpec).
 	spec := QoSSpec{SMaxMs: 1e9, FMin: 0}
-	got, gotV := sim.selectHypervolume(feas, spec)
+	got, gotV := ix.selectHypervolume(ix.Len(), spec)
 	bestV := -1.0
 	want := -1
 	for _, i := range feas {

@@ -195,7 +195,11 @@ func SimulateScenario(p ScenarioParams) (*ScenarioMetrics, error) {
 	eventRNG := r.Split(1)
 	specRNG := r.Split(2)
 
-	sim := newSimState(&pp)
+	ix, err := NewIndex(pp.DB, pp.Space, pp.Matrix)
+	if err != nil {
+		return nil, err
+	}
+	sim := decider{ix: ix, prc: pp.PRC, trigger: pp.Trigger, policy: pp.Policy, agent: pp.Agent}
 	if pp.Agent != nil {
 		pp.Agent.resetClock()
 	}
@@ -224,7 +228,8 @@ func SimulateScenario(p ScenarioParams) (*ScenarioMetrics, error) {
 
 	reg := p.Scenario.regimeAt(0, pp.Cycles)
 	spec := streamFor(reg).Next(specRNG)
-	cur := sim.bestBoot(spec)
+	cur, bootViolated := ix.cheapestFeasible(spec)
+	met.FeasibilityChecks = cheapestInspections(ix.Len(), bootViolated)
 
 	t := 0.0
 	for {
@@ -290,13 +295,16 @@ func SimulateScenario(p ScenarioParams) (*ScenarioMetrics, error) {
 		var violated bool
 		if lowPower {
 			effSpec.FMin = math.Max(0, spec.FMin-bat.RelaxF)
-			next, violated = sim.cheapestFeasible(effSpec)
+			next, violated = ix.cheapestFeasible(effSpec)
+			met.FeasibilityChecks += cheapestInspections(ix.Len(), violated)
 			met.LowPowerEvents++
 		} else {
-			next, _, violated = sim.decide(cur, effSpec)
+			var detail DecisionDetail
+			next, violated, detail = sim.decide(cur, effSpec, nil)
+			met.FeasibilityChecks += inspections(ix.Len(), detail)
 		}
 		if next != cur {
-			cost := sim.fullDRC(cur, next)
+			cost := ix.mat.Cost(cur, next)
 			met.Reconfigs++
 			met.TotalDRC += cost.Total()
 			met.TotalMigrations += cost.MigratedTasks
@@ -335,7 +343,6 @@ func SimulateScenario(p ScenarioParams) (*ScenarioMetrics, error) {
 	if p.Battery != nil {
 		met.FinalSoC = soc / bat.CapacityMJ
 	}
-	met.FeasibilityChecks = sim.checks
 	return met, nil
 }
 
@@ -359,20 +366,4 @@ func regimeLeft(s *Scenario, t float64) float64 {
 		x -= s.Regimes[i].DurationCycles
 	}
 	return math.Inf(1)
-}
-
-// cheapestFeasible returns the minimum-energy point satisfying the
-// spec, or the least-violating point (flagged) when none does.
-func (s *simState) cheapestFeasible(spec QoSSpec) (int, bool) {
-	best, bestJ := -1, math.Inf(1)
-	for _, i := range s.feasible(spec) {
-		pt := s.p.DB.Points[i]
-		if pt.EnergyMJ < bestJ || (pt.EnergyMJ == bestJ && i < best) {
-			best, bestJ = i, pt.EnergyMJ
-		}
-	}
-	if best >= 0 {
-		return best, false
-	}
-	return s.leastViolating(spec), true
 }

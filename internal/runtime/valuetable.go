@@ -169,7 +169,7 @@ func (a *Agent) Flush() { a.flush() }
 func (m *Manager) ApplyValuePrior(t *ValueTable) (bool, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	ag := m.sim.p.Agent
+	ag := m.d.agent
 	if ag == nil || ag.Gamma != t.Gamma {
 		return false, nil
 	}

@@ -14,9 +14,11 @@
 # committed BENCH_1.json, which pairs the pre-optimisation baseline
 # with the first optimised run.
 #
-# After writing, the new medians are diffed against the latest
-# previously committed BENCH_<n>.json (the last run object in it):
-# any benchmark whose median ns/op regressed by more than 20% prints a
+# After writing, each benchmark's new medians are diffed against its
+# baseline: the newest previously committed BENCH_<k>.json that
+# contains it (the last run object in that file), so a benchmark left
+# out of the latest recording keeps the baseline it last had. Any
+# benchmark whose median ns/op regressed by more than 20% prints a
 # WARNING, and B/op and allocs/op shifts beyond the same threshold
 # print warnings of their own (allocation deltas are deterministic, so
 # they catch a hot-path allocation creeping back even when the timing
@@ -29,9 +31,9 @@
 # fails the script with exit 1 (CI uses 15). The gate threshold should
 # sit above the runner noise floor but below "someone put an
 # allocation back on the hot path". In gate mode, a benchmark present
-# in the baseline but absent from this run also fails — provided the
-# current -bench pattern selects its name — so deleting or renaming a
-# gated benchmark cannot silently shrink the gate set.
+# in any baseline file but absent from this run also fails — provided
+# the current -bench pattern selects its name — so deleting or
+# renaming a gated benchmark cannot silently shrink the gate set.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -78,55 +80,62 @@ END {
 
 echo "wrote $file"
 
-# Diff the new medians against the latest previous results file: the
-# last run object of BENCH_<n-1>.json (later runs supersede earlier
-# ones in the same file).
-prev=$((n - 1))
-if [ "$prev" -ge 1 ] && [ -e "BENCH_${prev}.json" ]; then
-	echo "comparing against BENCH_${prev}.json ..."
-	# Extract "name ns_per_op b_per_op allocs_per_op" rows; for
-	# duplicates (one per run object) the last occurrence wins.
-	pairs() {
-		tr ',' '\n' <"$1" | tr -d ' "{}[]' | awk -F: '
-			$1 == "name" { nm = $2 }
-			$1 == "ns_per_op" && nm != "" { ns[nm] = $2 }
-			$1 == "b_per_op" && nm != "" { bo[nm] = $2 }
-			$1 == "allocs_per_op" && nm != "" { ao[nm] = $2 }
-			END { for (nm in ns) print nm, ns[nm], bo[nm], ao[nm] }'
-	}
-	pairs "BENCH_${prev}.json" >/tmp/bench_prev.$$
+# Diff the new medians against each benchmark's baseline: its medians
+# in the newest earlier BENCH_<k>.json that contains it (later run
+# objects supersede earlier ones within a file, later files supersede
+# earlier files).
+# Extract "name ns_per_op b_per_op allocs_per_op" rows; for duplicates
+# (one per run object) the last occurrence wins.
+pairs() {
+	tr ',' '\n' <"$1" | tr -d ' "{}[]' | awk -F: '
+		$1 == "name" { nm = $2 }
+		$1 == "ns_per_op" && nm != "" { ns[nm] = $2 }
+		$1 == "b_per_op" && nm != "" { bo[nm] = $2 }
+		$1 == "allocs_per_op" && nm != "" { ao[nm] = $2 }
+		END { for (nm in ns) print nm, ns[nm], bo[nm], ao[nm] }'
+}
+: >/tmp/bench_prev.$$
+k=1
+while [ "$k" -lt "$n" ]; do
+	if [ -e "BENCH_${k}.json" ]; then
+		pairs "BENCH_${k}.json" | sed "s/\$/ BENCH_${k}.json/" >>/tmp/bench_prev.$$
+	fi
+	k=$((k + 1))
+done
+if [ -s /tmp/bench_prev.$$ ]; then
+	echo "comparing each benchmark against the newest BENCH file containing it ..."
 	pairs "$file" >/tmp/bench_new.$$
 	status=0
-	awk -v prevfile="BENCH_${prev}.json" -v gate="$gate" -v pat="$pat" '
-		NR == FNR { prev[$1] = $2; pbo[$1] = $3; pao[$1] = $4; next }
+	awk -v gate="$gate" -v pat="$pat" '
+		NR == FNR { prev[$1] = $2; pbo[$1] = $3; pao[$1] = $4; src[$1] = $5; next }
 		{ cur[$1] = 1 }
 		($1 in prev) && prev[$1] > 0 {
 			ratio = $2 / prev[$1]
-			printf "  %-45s %12.0f -> %12.0f ns/op (%+.1f%%)\n", $1, prev[$1], $2, (ratio - 1) * 100
+			printf "  %-45s %12.0f -> %12.0f ns/op (%+.1f%%, vs %s)\n", $1, prev[$1], $2, (ratio - 1) * 100, src[$1]
 			if (gate + 0 > 0 && ratio > 1 + gate / 100) {
 				printf "FAIL: %s regressed %.1f%% vs %s (%.0f -> %.0f ns/op, gate %s%%)\n", \
-					$1, (ratio - 1) * 100, prevfile, prev[$1], $2, gate
+					$1, (ratio - 1) * 100, src[$1], prev[$1], $2, gate
 				bad = 1
 			} else if (ratio > 1.2) {
 				printf "WARNING: %s regressed %.1f%% vs %s (%.0f -> %.0f ns/op)\n", \
-					$1, (ratio - 1) * 100, prevfile, prev[$1], $2
+					$1, (ratio - 1) * 100, src[$1], prev[$1], $2
 			}
 			# B/op and allocs/op shifts are warn-only, never gated: they
 			# are deterministic, so any change is worth a line in the log,
 			# but a deliberate memory/time trade must not fail CI.
 			if (pbo[$1] > 0 && $3 / pbo[$1] > 1.2)
 				printf "WARNING: %s B/op grew %.1f%% vs %s (%.0f -> %.0f B/op)\n", \
-					$1, ($3 / pbo[$1] - 1) * 100, prevfile, pbo[$1], $3
+					$1, ($3 / pbo[$1] - 1) * 100, src[$1], pbo[$1], $3
 			if (pao[$1] > 0 && $4 / pao[$1] > 1.2)
 				printf "WARNING: %s allocs/op grew %.1f%% vs %s (%.0f -> %.0f allocs/op)\n", \
-					$1, ($4 / pao[$1] - 1) * 100, prevfile, pao[$1], $4
+					$1, ($4 / pao[$1] - 1) * 100, src[$1], pao[$1], $4
 		}
 		END {
-			# A benchmark that was in the baseline but produced no samples
-			# this run is the worst kind of regression: a deleted or renamed
+			# A benchmark that has a baseline but produced no samples this
+			# run is the worst kind of regression: a deleted or renamed
 			# benchmark silently shrinks the gate set, and every later run
 			# passes vacuously. Only names the current -bench pattern selects
-			# are expected, though — the baseline may hold a wider set than
+			# are expected, though — the baselines may hold a wider set than
 			# this invocation runs, so match each root segment (the name up
 			# to the first "/", covering sub-benchmarks) against the pattern
 			# before demanding it.
@@ -136,19 +145,20 @@ if [ "$prev" -ge 1 ] && [ -e "BENCH_${prev}.json" ]; then
 				if (root !~ pat) continue
 				if (!(nm in cur)) {
 					if (gate + 0 > 0) {
-						printf "FAIL: %s present in %s but missing from this run (deleted or renamed?)\n", nm, prevfile
+						printf "FAIL: %s present in %s but missing from this run (deleted or renamed?)\n", nm, src[nm]
 						bad = 1
 					} else {
-						printf "WARNING: %s present in %s but missing from this run\n", nm, prevfile
+						printf "WARNING: %s present in %s but missing from this run\n", nm, src[nm]
 					}
 				}
 			}
 			exit bad
 		}' /tmp/bench_prev.$$ /tmp/bench_new.$$ || status=$?
-	rm -f /tmp/bench_prev.$$ /tmp/bench_new.$$
-	if [ "$status" -ne 0 ]; then
-		echo "bench regression gate failed (threshold ${gate}%)"
-		rm -f "$file" # a gated run is a probe, not a new baseline
-		exit 1
-	fi
+	rm -f /tmp/bench_new.$$
+fi
+rm -f /tmp/bench_prev.$$
+if [ "${status:-0}" -ne 0 ]; then
+	echo "bench regression gate failed (threshold ${gate}%)"
+	rm -f "$file" # a gated run is a probe, not a new baseline
+	exit 1
 fi
