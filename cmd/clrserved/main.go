@@ -60,6 +60,7 @@ import (
 
 	"clrdse/internal/cluster"
 	"clrdse/internal/cohort"
+	"clrdse/internal/control"
 	"clrdse/internal/core"
 	"clrdse/internal/dse"
 	"clrdse/internal/evolve"
@@ -243,6 +244,7 @@ func main() {
 	defer stop()
 	if *evolveOn {
 		w := &evolve.Worker{
+			Loop:     control.Loop{Interval: *evolveIv, Logger: log},
 			Registry: srv.Registry(),
 			Database: "red",
 			Proposer: &evolve.Proposer{
@@ -253,9 +255,7 @@ func main() {
 				},
 				Seed: *seed,
 			},
-			Interval:  *evolveIv,
 			Threshold: *evolveThr,
-			Logger:    log,
 		}
 		if node != nil {
 			// In a cluster a handoff bundle is only importable at the
@@ -272,12 +272,11 @@ func main() {
 	}
 	if *cohortOn {
 		w := &cohort.Worker{
+			Loop:     control.Loop{Interval: *cohortIv, Logger: log},
 			Registry: srv.Registry(),
 			Database: "red",
 			Gamma:    *cohortGamma,
 			Schedule: cohort.Schedule{Seed: *seed, BaseEvents: *cohortEpoch},
-			Interval: *cohortIv,
-			Logger:   log,
 		}
 		if node != nil {
 			// A value table seeds agents fleet-wide, so no node publishes

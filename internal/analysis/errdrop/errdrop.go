@@ -1,6 +1,6 @@
 // Package errdrop flags discarded error results in the state-machine
 // and worker layers, where a swallowed error wedges a node instead of
-// crashing it: the evolve worker's step loop, the cluster layer's
+// crashing it: the workers' shared step loop, the cluster layer's
 // health probes and handoff pushes, the fleet serving path, and the
 // command-line drivers. A call statement that ignores an error-typed
 // result, a `go` statement that launches one, and an assignment that
@@ -39,6 +39,7 @@ var Analyzer = &analysis.Analyzer{
 // the experiment harnesses stay out: their error discipline is the
 // Go default, not this contract.
 var scopePackages = map[string]bool{
+	"control":   true,
 	"evolve":    true,
 	"cluster":   true,
 	"fleet":     true,

@@ -99,25 +99,6 @@ func (r *Ring) Owner(key string) string {
 	return r.points[r.search(hash32(key))].node
 }
 
-// Owners returns the first n distinct members clockwise from the key
-// — the key's preference list (owner first). n is capped at the
-// member count.
-func (r *Ring) Owners(key string, n int) []string {
-	if n > len(r.members) {
-		n = len(r.members)
-	}
-	out := make([]string, 0, n)
-	i := r.search(hash32(key))
-	for len(out) < n {
-		node := r.points[i%len(r.points)].node
-		if !contains(out, node) {
-			out = append(out, node)
-		}
-		i++
-	}
-	return out
-}
-
 // search finds the index of the first ring point with hash >= h,
 // wrapping past the top of the hash space.
 func (r *Ring) search(h uint32) int {
@@ -126,15 +107,6 @@ func (r *Ring) search(h uint32) int {
 		i = 0
 	}
 	return i
-}
-
-func contains(s []string, v string) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }
 
 // Version fingerprints the ring: the FNV-1a of the sorted member list

@@ -139,29 +139,6 @@ func TestRingBalance(t *testing.T) {
 	}
 }
 
-func TestRingOwners(t *testing.T) {
-	r, err := NewRing([]string{"a", "b", "c"}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range keys(100) {
-		pref := r.Owners(k, 5) // capped at member count
-		if len(pref) != 3 {
-			t.Fatalf("Owners(%q, 5) = %v, want all 3 members", k, pref)
-		}
-		if pref[0] != r.Owner(k) {
-			t.Fatalf("preference list head %q != Owner %q", pref[0], r.Owner(k))
-		}
-		seen := map[string]bool{}
-		for _, m := range pref {
-			if seen[m] {
-				t.Fatalf("Owners(%q) repeats member %q", k, m)
-			}
-			seen[m] = true
-		}
-	}
-}
-
 func TestRingVersionDependsOnVNodes(t *testing.T) {
 	a, err := NewRing([]string{"x", "y"}, 32)
 	if err != nil {

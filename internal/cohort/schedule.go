@@ -70,18 +70,3 @@ func (s *Schedule) Boundary(epoch uint64) int {
 	}
 	return total
 }
-
-// EpochFor returns the latest closed epoch after `events` eligible
-// journaled decisions: the largest E with Boundary(E) <= events.
-func (s *Schedule) EpochFor(events int) uint64 {
-	var epoch uint64
-	total := 0
-	for {
-		next := total + s.EpochLen(epoch+1)
-		if next > events {
-			return epoch
-		}
-		total = next
-		epoch++
-	}
-}

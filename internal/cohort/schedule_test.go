@@ -61,21 +61,3 @@ func TestScheduleBoundaryMonotone(t *testing.T) {
 		prev = b
 	}
 }
-
-func TestEpochFor(t *testing.T) {
-	s := Schedule{Seed: 3, BaseEvents: 40, Jitter: 0.2}
-	for e := uint64(0); e <= 10; e++ {
-		b := s.Boundary(e)
-		if got := s.EpochFor(b); got != e {
-			t.Errorf("EpochFor(Boundary(%d)=%d) = %d", e, b, got)
-		}
-		if e > 0 {
-			if got := s.EpochFor(b - 1); got != e-1 {
-				t.Errorf("EpochFor(%d) = %d, want %d", b-1, got, e-1)
-			}
-		}
-	}
-	if s.EpochFor(0) != 0 {
-		t.Error("EpochFor(0) != 0")
-	}
-}

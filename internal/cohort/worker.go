@@ -13,15 +13,14 @@ package cohort
 // aggregated value table and publishes it as the next table version.
 // Publishing itself lives in the fleet registry; the worker only
 // decides when to invoke it — the same division of labour as
-// evolve.Worker, whose Agreement/Reconcile cluster hooks this worker
-// mirrors for value tables.
+// evolve.Worker, and the same control.Loop for the ticker, the cluster
+// catch-up and the agreement gate.
 
 import (
 	"context"
 	"errors"
-	"log/slog"
-	"time"
 
+	"clrdse/internal/control"
 	"clrdse/internal/dse"
 	"clrdse/internal/fleet"
 	"clrdse/internal/obs"
@@ -38,8 +37,11 @@ type Registry interface {
 }
 
 // Worker periodically aggregates and publishes one cohort's value
-// table.
+// table. Its Loop supplies Interval, Logger and the cluster hooks:
+// Agreement gates publishing (cluster.Node.VTablesAgree), Reconcile
+// adopts a peer's table (cluster.Node.CatchUpVTables).
 type Worker struct {
+	control.Loop
 	// Registry is the fleet being served; Database names the cohort.
 	Registry Registry
 	Database string
@@ -55,31 +57,6 @@ type Worker struct {
 	// MinDevices is how many devices must have contributed eligible
 	// decisions before a table is published (0 selects 1).
 	MinDevices int
-	// Interval is the tick period of Run (0 selects 1 minute).
-	Interval time.Duration
-	// Agreement, when non-nil, gates publishing on external consensus
-	// — the cluster layer's "every alive peer holds the same value
-	// table" check. Returning false defers the publish to a later
-	// tick; an error is logged and also defers.
-	Agreement func(ctx context.Context, database string) (bool, error)
-	// Reconcile, when non-nil, runs first on every Step — the cluster
-	// layer's catch-up hook (CatchUpValueTables): publishes are not
-	// atomic across nodes, so a peer can publish first, after which
-	// this node's Agreement stays false forever unless it adopts the
-	// winner's table. Reconcile returning true means a table was
-	// adopted; the step then ends (cohort state just changed under us)
-	// and the next tick resumes from the adopted version. An error is
-	// logged, never fatal.
-	Reconcile func(ctx context.Context, database string) (bool, error)
-	// Logger receives state-transition lines (nil selects the default).
-	Logger *slog.Logger
-}
-
-func (w *Worker) log() *slog.Logger {
-	if w.Logger != nil {
-		return w.Logger
-	}
-	return slog.Default()
 }
 
 func (w *Worker) minDevices() int {
@@ -94,17 +71,15 @@ func (w *Worker) minDevices() int {
 // aggregate unchanged since the last publish, cluster not yet in
 // agreement) return a nil error.
 func (w *Worker) Step(ctx context.Context) error {
-	if w.Reconcile != nil {
-		adopted, err := w.Reconcile(ctx, w.Database)
-		switch {
-		case err != nil:
-			w.log().WarnContext(ctx, "cohort: value-table catch-up failed", "db", w.Database, "err", err)
-		case adopted:
-			w.log().InfoContext(ctx, "cohort: adopted a peer's value table; resuming from it next tick",
-				"db", w.Database)
-			return nil
-		}
-	}
+	return w.Loop.Step(ctx, "cohort", w.Database, w.act)
+}
+
+// Run steps the worker every Interval until ctx is cancelled.
+func (w *Worker) Run(ctx context.Context) {
+	w.Loop.Run(ctx, "cohort", w.Database, w.act)
+}
+
+func (w *Worker) act(ctx context.Context) error {
 	st, err := w.Registry.ValueTableStatus(w.Database)
 	if err != nil {
 		return err
@@ -132,7 +107,7 @@ func (w *Worker) Step(ctx context.Context) error {
 		return err
 	}
 	if table.Devices < w.minDevices() {
-		w.log().DebugContext(ctx, "cohort: too few contributing devices",
+		w.Log().DebugContext(ctx, "cohort: too few contributing devices",
 			"db", w.Database, "devices", table.Devices, "min", w.minDevices())
 		return nil
 	}
@@ -141,21 +116,11 @@ func (w *Worker) Step(ctx context.Context) error {
 	if st.HasTable && table.Fingerprint() == st.Fingerprint {
 		// Same content as the active table: nothing worth a version
 		// bump. The epoch stays open until the aggregate moves.
-		w.log().DebugContext(ctx, "cohort: aggregate unchanged", "db", w.Database, "version", st.Version)
+		w.Log().DebugContext(ctx, "cohort: aggregate unchanged", "db", w.Database, "version", st.Version)
 		return nil
 	}
-	if w.Agreement != nil {
-		ok, err := w.Agreement(ctx, w.Database)
-		if err != nil {
-			w.log().WarnContext(ctx, "cohort: cluster table agreement check failed; deferring publish",
-				"db", w.Database, "err", err)
-			return nil
-		}
-		if !ok {
-			w.log().InfoContext(ctx, "cohort: cluster not in table agreement; deferring publish",
-				"db", w.Database, "version", table.Version)
-			return nil
-		}
+	if !w.Gate(ctx, "cohort", w.Database, "version", table.Version) {
+		return nil
 	}
 	if err := w.Registry.PublishValueTable(w.Database, table); err != nil {
 		// A concurrent publish (another worker, a cluster adoption) can
@@ -163,35 +128,13 @@ func (w *Worker) Step(ctx context.Context) error {
 		// re-aggregates against the new state. A database swap between
 		// snapshot and publish surfaces as skew the same way.
 		if errors.Is(err, fleet.ErrValueTableVersion) || errors.Is(err, fleet.ErrValueTableSkew) {
-			w.log().InfoContext(ctx, "cohort: publish outdated by concurrent change", "db", w.Database, "err", err)
+			w.Log().InfoContext(ctx, "cohort: publish outdated by concurrent change", "db", w.Database, "err", err)
 			return nil
 		}
 		return err
 	}
-	w.log().InfoContext(ctx, "cohort: value table published",
+	w.Log().InfoContext(ctx, "cohort: value table published",
 		"db", w.Database, "version", table.Version, "epoch", table.Epoch,
 		"devices", table.Devices, "events", table.Events)
 	return nil
-}
-
-// Run steps the worker every Interval until ctx is cancelled. Step
-// errors are logged, never fatal: the loop is a background optimiser,
-// and serving must not depend on it.
-func (w *Worker) Run(ctx context.Context) {
-	interval := w.Interval
-	if interval <= 0 {
-		interval = time.Minute
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			if err := w.Step(ctx); err != nil {
-				w.log().WarnContext(ctx, "cohort: step failed", "db", w.Database, "err", err)
-			}
-		}
-	}
 }

@@ -148,11 +148,8 @@ func (r *Registry) DecideBatch(ctx context.Context, events []BatchEvent, results
 	batchPlanPool.Put(p)
 }
 
-// decideRun scores one device's run of events under one semaphore
-// acquisition. Failure modes mirror the single-event path per event:
-// an unknown or exported device answers ErrNoDevice for every slot, an
-// acquire that outlives ctx degrades every slot, and per-event faults
-// (stale sequence, hook faults) land only in their own slot.
+// decideRun scores one device's run of events; an unknown device
+// answers ErrNoDevice in every slot.
 func (r *Registry) decideRun(ctx context.Context, run *batchRun, events []BatchEvent, results []BatchOutcome) {
 	d, err := r.lookup(run.device)
 	if err != nil {
@@ -161,36 +158,52 @@ func (r *Registry) decideRun(ctx context.Context, run *batchRun, events []BatchE
 		}
 		return
 	}
-	if err := d.acquire(ctx); err != nil {
-		if d.removed.Load() {
-			nde := fmt.Errorf("%w: %q", ErrNoDevice, d.id)
-			for _, i := range run.idx {
-				results[i] = BatchOutcome{Err: nde}
-			}
-			return
-		}
-		tr := obs.NewTrace(obs.TraceIDFrom(ctx), r.clock)
-		for _, i := range run.idx {
-			tr.Reset()
-			results[i] = BatchOutcome{Out: r.degrade(d, events[i].Seq, events[i].Spec, tr, err)}
-		}
-		return
-	}
+	r.decideDevice(ctx, d, run.idx, events, results)
+}
+
+// decideDevice decides the events at idx, all addressed to d, in order
+// under one semaphore acquisition. It re-checks the removal tombstone
+// once the semaphore is held: a device exported off this node between
+// lookup and acquire answers ErrNoDevice in every slot — the caller
+// re-resolves ownership — instead of committing decisions the
+// already-pushed handoff bundle can never contain. An acquire that
+// outlives ctx degrades every slot, and per-event faults (stale
+// sequence, hook faults) land only in their own slot.
+func (r *Registry) decideDevice(ctx context.Context, d *device, idx []int, events []BatchEvent, results []BatchOutcome) {
+	// The trace ID rides the context from the edge (HTTP middleware or
+	// client call root); the registry never mints one mid-stack. One
+	// trace serves the whole run: the journal copies each event's spans
+	// out, so resetting between events is safe, and a per-event trace
+	// allocation would dominate the batch path's alloc budget.
+	tr := obs.NewTrace(obs.TraceIDFrom(ctx), r.clock)
+	// The run's first event is timed from before the acquire, so the
+	// latency histogram sees semaphore waits on every path.
+	start := time.Now()
+	acqErr := d.acquire(ctx)
 	if d.removed.Load() {
-		d.release()
+		if acqErr == nil {
+			d.release()
+		}
 		nde := fmt.Errorf("%w: %q", ErrNoDevice, d.id)
-		for _, i := range run.idx {
+		for _, i := range idx {
 			results[i] = BatchOutcome{Err: nde}
 		}
 		return
 	}
-	// One trace serves the whole run: the journal copies each event's
-	// spans out, so resetting between events is safe, and a per-event
-	// trace allocation would dominate the batch path's alloc budget.
-	tr := obs.NewTrace(obs.TraceIDFrom(ctx), r.clock)
-	for _, i := range run.idx {
+	if acqErr != nil {
+		// The device's decision path is wedged past our deadline:
+		// answer degraded without touching any state.
+		for _, i := range idx {
+			tr.Reset()
+			results[i] = BatchOutcome{Out: r.degrade(d, events[i].Seq, events[i].Spec, tr, acqErr)}
+		}
+		return
+	}
+	for k, i := range idx {
+		if k > 0 {
+			start = time.Now()
+		}
 		tr.Reset()
-		start := time.Now()
 		out, err := r.decideLocked(ctx, d, events[i].Seq, events[i].Spec, tr)
 		if err == nil && !out.Replayed && !out.Degraded {
 			r.decisionLat.Observe(time.Since(start).Seconds())

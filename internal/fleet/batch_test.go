@@ -11,7 +11,9 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"clrdse/internal/runtime"
 )
@@ -464,4 +466,75 @@ func TestBatchEndpointEdges(t *testing.T) {
 			t.Errorf("status %d, want 400", status)
 		}
 	})
+}
+
+// doneProbe is a context that reports when the decide path first asks
+// for its Done channel — which acquire does only once the semaphore's
+// fast path has failed, so the caller is then waiting on the device.
+type doneProbe struct {
+	context.Context
+	once  sync.Once
+	asked chan struct{}
+}
+
+func (c *doneProbe) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.asked) })
+	return c.Context.Done()
+}
+
+// TestDecisionLatencyIncludesSemaphoreWait pins one definition of
+// clr_fleet_decision_latency_seconds on both decide paths: the first
+// event of a device's run is timed from before the semaphore acquire,
+// so a decision that waited for its device records at least the wait.
+func TestDecisionLatencyIncludesSemaphoreWait(t *testing.T) {
+	f := getFixture(t)
+	spec := looseSpec(f.red)
+	const hold = 30 * time.Millisecond
+	for _, path := range []string{"single", "batch"} {
+		t.Run(path, func(t *testing.T) {
+			reg, err := NewRegistry(fleetDatabases(t), 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := reg.Register(DeviceParams{ID: "held", Database: "red", PRC: 0.4, Initial: spec}); err != nil {
+				t.Fatal(err)
+			}
+			d, err := reg.lookup("held")
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := &doneProbe{Context: context.Background(), asked: make(chan struct{})}
+			d.sem <- struct{}{} // hold the device
+			released := make(chan struct{})
+			go func() {
+				<-ctx.asked
+				time.Sleep(hold)
+				<-d.sem
+				close(released)
+			}()
+			want := uint64(1)
+			if path == "single" {
+				if _, err := reg.DecideCtx(ctx, "held", 1, spec); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				events := []BatchEvent{{Device: "held", Seq: 1, Spec: spec}, {Device: "held", Seq: 2, Spec: spec}}
+				results := make([]BatchOutcome, len(events))
+				reg.DecideBatch(ctx, events, results)
+				for i, res := range results {
+					if res.Err != nil || res.Out.Degraded {
+						t.Fatalf("event %d: %+v, %v", i, res.Out, res.Err)
+					}
+				}
+				want = 2
+			}
+			<-released
+			if got := reg.decisionLat.Count(); got != want {
+				t.Fatalf("histogram observed %d decisions, want %d", got, want)
+			}
+			if got := time.Duration(reg.decisionLat.Sum() * float64(time.Second)); got < hold {
+				t.Errorf("recorded %v of decision latency across a %v semaphore wait", got, hold)
+			}
+		})
+	}
 }

@@ -267,11 +267,11 @@ func (st *dbState) vtStatus(r *Registry) ValueTableStatus {
 }
 
 // syncValueTable converges the device's agent onto its cohort's active
-// value table. The caller holds the device semaphore, so the prior
-// lands between decisions, never inside one. It never fails the
-// decision: a table that does not apply (uRA device, gamma mismatch,
-// learned against other database content) leaves the device as is,
-// with its journal stamp truthful.
+// value table. The caller holds the device semaphore (or registers the
+// device before publishing it), so the prior lands between decisions,
+// never inside one. It never fails the decision: a table that does not
+// apply (uRA device, gamma mismatch, learned against other database
+// content) leaves the device as is, with its journal stamp truthful.
 func (r *Registry) syncValueTable(d *device) {
 	mgr := d.mgr.Load()
 	if d.vtMgr != mgr {

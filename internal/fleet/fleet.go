@@ -413,7 +413,7 @@ func NewRegistry(dbs []NamedDatabase, shards int) (*Registry, error) {
 	r.degradedDev = r.met.Gauge("clr_fleet_degraded_devices",
 		"Devices currently in degraded mode.")
 	r.decisionLat = r.met.Histogram("clr_fleet_decision_latency_seconds",
-		"Wall-clock latency of the decision hot path.", nil)
+		"Wall-clock latency of one decision: the first event of a device's run (a single QoS call, or one device's events in a batch) from before the semaphore acquire, each later event of the run from its own start; replays and degraded answers are not observed.", nil)
 	r.explained = r.met.Counter("clr_decisions_explained_total",
 		"Decisions recorded in the per-shard decision journal (degraded answers included, replays excluded).")
 	r.stageLat = make(map[string]*metrics.Histogram, 4)
@@ -518,16 +518,9 @@ func (r *Registry) Register(p DeviceParams) (*DeviceInfo, error) {
 	// Cold-start cohort inheritance: a device joining a cohort that
 	// already published a value table inherits the cohort's learned
 	// values in place of the analytic stay-put prior — what its
-	// cohort-mates know beats what offline Monte-Carlo would guess.
-	// Failure to apply (uRA device, gamma mismatch, table bound to
-	// other database content) just boots the device without a prior.
-	if vt := st.vtActive.Load(); vt != nil && vt.DBFingerprint == db.fp {
-		if applied, err := mgr.ApplyValuePrior(vt); err == nil && applied {
-			d.vtMgr, d.vtApplied = mgr, vt
-			d.vtVersion.Store(vt.Version)
-			r.cohortPriors.Inc()
-		}
-	}
+	// cohort-mates know beats what offline Monte-Carlo would guess. The
+	// device is not published yet, so nothing else can touch it.
+	r.syncValueTable(d)
 
 	sh := r.shardFor(p.ID)
 	sh.mu.Lock()
@@ -610,42 +603,21 @@ func (r *Registry) DecideCtx(ctx context.Context, id string, seq uint64, spec ru
 	return r.decideOn(ctx, d, seq, spec)
 }
 
-// decideOn is DecideCtx after device resolution. It re-checks the
-// removal tombstone once the semaphore is held: a device exported off
-// this node between lookup and acquire fails with ErrNoDevice — the
-// caller re-resolves ownership — instead of committing a decision the
-// already-pushed handoff bundle can never contain.
+// decideOn is DecideCtx after device resolution: a run of one event
+// through decideDevice, the batch path's per-device step.
 func (r *Registry) decideOn(ctx context.Context, d *device, seq uint64, spec runtime.QoSSpec) (DecideOutcome, error) {
-	// The trace ID rides the context from the edge (HTTP middleware or
-	// client call root); the registry never mints one mid-stack.
-	tr := obs.NewTrace(obs.TraceIDFrom(ctx), r.clock)
-	start := time.Now()
-	if err := d.acquire(ctx); err != nil {
-		if d.removed.Load() {
-			return DecideOutcome{}, fmt.Errorf("%w: %q", ErrNoDevice, d.id)
-		}
-		// The device's decision path is wedged past our deadline:
-		// answer degraded without touching any state.
-		return r.degrade(d, seq, spec, tr, err), nil
-	}
-	if d.removed.Load() {
-		d.release()
-		return DecideOutcome{}, fmt.Errorf("%w: %q", ErrNoDevice, d.id)
-	}
-	out, err := r.decideLocked(ctx, d, seq, spec, tr)
-	d.release()
-	if err == nil && !out.Replayed && !out.Degraded {
-		r.decisionLat.Observe(time.Since(start).Seconds())
-	}
-	return out, err
+	events := [1]BatchEvent{{Device: d.id, Seq: seq, Spec: spec}}
+	var results [1]BatchOutcome
+	r.decideDevice(ctx, d, []int{0}, events[:], results[:])
+	return results[0].Out, results[0].Err
 }
 
-// decideLocked is the decision core shared by the single-event path
-// (decideOn) and the batch path (decideRun). The caller holds the
-// device semaphore — and has already ruled out the removal tombstone,
-// which cannot flip while the semaphore is held (ExportRemove sets it
-// under the same semaphore) — so one acquisition can serve a whole run
-// of events for the device. It never releases the semaphore.
+// decideLocked is the decision core of decideDevice. The caller holds
+// the device semaphore — and has already ruled out the removal
+// tombstone, which cannot flip while the semaphore is held
+// (ExportRemove sets it under the same semaphore) — so one acquisition
+// can serve a whole run of events for the device. It never releases
+// the semaphore.
 func (r *Registry) decideLocked(ctx context.Context, d *device, seq uint64, spec runtime.QoSSpec, tr *obs.Trace) (DecideOutcome, error) {
 	if seq > 0 && d.haveLast {
 		if seq == d.lastSeq {

@@ -2,7 +2,8 @@
 # lint.sh — run the full static-analysis gate locally, in the same
 # order CI's lint job does:
 #
-#   1. go vet               (stock correctness checks)
+#   1. go vet               (stock correctness checks, over the root
+#                            module and the perfbench module)
 #   2. staticcheck          (if installed; CI installs it pinned)
 #   3. govulncheck          (if installed; CI installs it pinned;
 #                            skipped in -fast mode)
@@ -36,6 +37,7 @@ done
 
 echo "==> go vet"
 go vet ./...
+go -C perfbench vet ./...
 
 if command -v staticcheck >/dev/null 2>&1; then
 	echo "==> staticcheck"
