@@ -179,11 +179,15 @@ func (db *Database) Mappings() []*mapping.Mapping {
 }
 
 // Evaluator wraps the schedule evaluator with a memoisation cache so
-// the GA never schedules the same genome twice.
+// the GA never schedules the same genome twice. The cache is keyed by
+// genome hash (mapping.Memo) and keeps a reference to every genome it
+// has evaluated, which must therefore not be modified afterwards.
 type Evaluator struct {
 	inner *schedule.Evaluator
-	mu    sync.Mutex
-	cache map[string]*schedule.Result
+	memo  mapping.Memo[*schedule.Result]
+	// hash keys the memo; tests replace it to force collisions.
+	hash func(*mapping.Mapping) uint64
+	mu   sync.Mutex
 	// Evals counts distinct evaluations (cache misses).
 	Evals int
 }
@@ -192,33 +196,29 @@ type Evaluator struct {
 func NewEvaluator(p *Problem) *Evaluator {
 	return &Evaluator{
 		inner: &schedule.Evaluator{Space: p.Space, Env: p.Env, ContentionAware: p.ContentionAware},
-		cache: make(map[string]*schedule.Result),
+		hash:  (*mapping.Mapping).Hash,
 	}
 }
 
 // Evaluate returns the schedule result for m, computing it at most
 // once per distinct genome.
 func (e *Evaluator) Evaluate(m *mapping.Mapping) (*schedule.Result, error) {
-	key := m.Key()
-	e.mu.Lock()
-	if r, ok := e.cache[key]; ok {
-		e.mu.Unlock()
+	h := e.hash(m)
+	if r, ok := e.memo.Get(h, m); ok {
 		return r, nil
 	}
-	e.mu.Unlock()
 	r, err := e.inner.Evaluate(m)
 	if err != nil {
 		return nil, err
 	}
-	e.mu.Lock()
 	// Concurrent callers may race to evaluate the same fresh genome;
-	// count the key once so Evals equals the number of distinct
+	// the memo stores it once, so Evals equals the number of distinct
 	// genomes regardless of worker interleaving.
-	if _, ok := e.cache[key]; !ok {
-		e.cache[key] = r
+	if e.memo.Add(h, m, r) {
+		e.mu.Lock()
 		e.Evals++
+		e.mu.Unlock()
 	}
-	e.mu.Unlock()
 	return r, nil
 }
 

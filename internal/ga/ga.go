@@ -347,10 +347,8 @@ func (e *Engine) mutate(m *mapping.Mapping, r *rng.Source, prob float64) {
 		g := &m.Genes[t]
 		switch r.Intn(4) {
 		case 0: // re-bind: new runnable implementation and compatible PE
-			runnable := e.Space.RunnableImpls(t)
-			g.Impl = runnable[r.Intn(len(runnable))]
-			pes := e.Space.CompatiblePEs(t, g.Impl)
-			g.PE = pes[r.Intn(len(pes))]
+			g.Impl = e.Space.RandomImpl(t, r)
+			g.PE = e.Space.RandomPE(t, g.Impl, r)
 		case 1: // new CLR configuration for one random layer
 			switch r.Intn(3) {
 			case 0:
@@ -363,8 +361,7 @@ func (e *Engine) mutate(m *mapping.Mapping, r *rng.Source, prob float64) {
 		case 2: // new priority
 			g.Prio = r.Intn(4 * n)
 		case 3: // move to another compatible PE, keep impl
-			pes := e.Space.CompatiblePEs(t, g.Impl)
-			g.PE = pes[r.Intn(len(pes))]
+			g.PE = e.Space.RandomPE(t, g.Impl, r)
 		}
 	}
 }

@@ -10,7 +10,7 @@ package mapping
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
 )
 
 // ActionKind classifies one reconfiguration step.
@@ -85,20 +85,14 @@ func (a Action) String() string {
 // decision hot path of deployed managers, so the resident-set scan
 // reuses pooled scratch and the returned slice is sized exactly.
 func (s *Space) Diff(from, to *Mapping) []Action {
-	nPRR := len(s.Platform.PRRs)
-	sc := drcScratchPool.Get().(*drcScratch)
-	sc.reset(nPRR)
-	s.residentInto(from, sc.from)
-	s.residentInto(to, sc.to)
+	sc := residencyPool.Get().(*residencyPair)
+	s.residencyOf(from, &sc.from)
+	s.residencyOf(to, &sc.to)
 
 	// Size the plan before building it.
 	nBits, nCopies, nFrees := 0, 0, 0
-	for prr := 0; prr < nPRR; prr++ {
-		for _, bs := range sc.to[prr] {
-			if !containsInt(sc.from[prr], bs) {
-				nBits++
-			}
-		}
+	for prr := range s.Platform.PRRs {
+		nBits += newLoads(&sc.from, &sc.to, prr)
 	}
 	for t := range to.Genes {
 		gf, gt := from.Genes[t], to.Genes[t]
@@ -113,33 +107,28 @@ func (s *Space) Diff(from, to *Mapping) []Action {
 		}
 	}
 	if nBits+nCopies+nFrees == 0 {
-		drcScratchPool.Put(sc)
+		residencyPool.Put(sc)
 		return nil
 	}
 	actions := make([]Action, 0, nBits+nCopies+nFrees)
 
 	// Bitstream loads: newly demanded circuits per PRR, in circuit-ID
-	// order within each region.
-	for prr := 0; prr < nPRR; prr++ {
-		sc.bits = sc.bits[:0]
-		for _, bs := range sc.to[prr] {
-			if !containsInt(sc.from[prr], bs) {
-				sc.bits = append(sc.bits, bs)
+	// order within each region (the bitset's word and bit order).
+	for prr := range s.Platform.PRRs {
+		for i := 0; i < sc.to.w; i++ {
+			for w := newWord(&sc.from, &sc.to, prr, i); w != 0; w &= w - 1 {
+				actions = append(actions, Action{
+					Kind:      ActionLoadBitstream,
+					Task:      -1,
+					PE:        prrPE(s, prr),
+					PRR:       prr,
+					Bitstream: 64*i + bits.TrailingZeros64(w),
+					CostMs:    s.Platform.BitstreamLoadMs(s.Platform.PRRs[prr].BitstreamKB),
+				})
 			}
 		}
-		sort.Ints(sc.bits)
-		for _, bs := range sc.bits {
-			actions = append(actions, Action{
-				Kind:      ActionLoadBitstream,
-				Task:      -1,
-				PE:        prrPE(s, prr),
-				PRR:       prr,
-				Bitstream: bs,
-				CostMs:    s.Platform.BitstreamLoadMs(s.Platform.PRRs[prr].BitstreamKB),
-			})
-		}
 	}
-	drcScratchPool.Put(sc)
+	residencyPool.Put(sc)
 
 	// Binary copies, then the free per-task steps.
 	for t := range to.Genes {

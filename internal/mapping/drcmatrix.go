@@ -10,108 +10,43 @@ package mapping
 // and the ReD stage computes average reconfiguration distances to the
 // stored set inside every fitness evaluation — so this file provides
 //
-//   - DRCTotal: an allocation-free scalar fast path, bit-identical to
-//     DRC(from, to).Total(), for callers that never look at the cost
-//     decomposition;
+//   - DRCTotal: an allocation-free scalar fast path for callers that
+//     never look at the cost decomposition;
 //   - DRCMatrix: the |DB|x|DB| table of totals, precomputed once per
 //     database and shared read-only by any number of managers, plus a
 //     lazily filled table of full cost decompositions for the
 //     transitions managers actually realise;
 //   - DRCCache: a lazily-memoised average-distance cache for
 //     configurations outside the database (ReD candidates).
+//
+// Every path sums dRC in one form: the binary migrations in task
+// order, then each newly demanded circuit's load added one at a time,
+// PRR by PRR (never the load count times the load time, which rounds
+// differently from about ten loads on). DRC, DRCTotal, the matrix and
+// the cache therefore agree bit for bit. All of them compare per-PRR
+// resident sets (see residency): the matrix computes each stored
+// mapping's once per database, the cache once per stored set, and a
+// single call once per mapping it is given.
 
-import (
-	"sync"
-	"sync/atomic"
-)
-
-// drcScratch holds the per-PRR resident-bitstream work lists reused
-// across DRCTotal and Diff calls, replacing the per-call map
-// allocations of the full DRC path.
-type drcScratch struct {
-	from, to [][]int
-	// bits is a per-PRR work list for newly demanded circuits (Diff).
-	bits []int
-}
-
-var drcScratchPool = sync.Pool{New: func() any { return new(drcScratch) }}
-
-func (sc *drcScratch) reset(nPRR int) {
-	for len(sc.from) < nPRR {
-		sc.from = append(sc.from, nil)
-	}
-	for len(sc.to) < nPRR {
-		sc.to = append(sc.to, nil)
-	}
-	for i := 0; i < nPRR; i++ {
-		sc.from[i] = sc.from[i][:0]
-		sc.to[i] = sc.to[i][:0]
-	}
-}
-
-func containsInt(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
-}
-
-// residentInto collects, per PRR index, the distinct bitstream IDs the
-// mapping demands, appending into the caller's scratch lists. It is
-// the allocation-free counterpart of residentBitstreams.
-func (s *Space) residentInto(m *Mapping, res [][]int) {
-	for t := range m.Genes {
-		g := &m.Genes[t]
-		im := &s.Graph.Tasks[t].Impls[g.Impl]
-		if im.BitstreamID < 0 {
-			continue
-		}
-		prr := s.Platform.PEs[g.PE].PRR
-		if prr >= 0 && !containsInt(res[prr], im.BitstreamID) {
-			res[prr] = append(res[prr], im.BitstreamID)
-		}
-	}
-}
+import "sync/atomic"
 
 // DRCTotal returns DRC(from, to).Total() without materialising the
-// ReconfigCost decomposition or the per-PRR resident-set maps. The
-// two partial sums are accumulated in exactly the order DRC uses (the
-// bitstream term adds one identical constant per newly demanded
-// circuit of each PRR, so set-iteration order cannot change the
-// float64 result), making the returned scalar bit-identical to the
-// full path. Steady-state calls allocate nothing.
+// ReconfigCost decomposition, bit for bit: it sums the same two terms
+// in the same form. Steady-state calls allocate nothing.
 func (s *Space) DRCTotal(from, to *Mapping) float64 {
-	binMs := 0.0
-	for t := range to.Genes {
-		gf, gt := from.Genes[t], to.Genes[t]
-		if gf.PE == gt.PE && gf.Impl == gt.Impl {
-			continue
-		}
-		im := &s.Graph.Tasks[t].Impls[gt.Impl]
-		if im.BitstreamID < 0 {
-			binMs += s.Platform.BinaryMigrationMs(im.BinaryKB)
-		}
-	}
-	nPRR := len(s.Platform.PRRs)
-	if nPRR == 0 {
-		return binMs
-	}
-	sc := drcScratchPool.Get().(*drcScratch)
-	sc.reset(nPRR)
-	s.residentInto(from, sc.from)
-	s.residentInto(to, sc.to)
-	bitMs := 0.0
-	for prr := 0; prr < nPRR; prr++ {
-		loadMs := s.Platform.BitstreamLoadMs(s.Platform.PRRs[prr].BitstreamKB)
-		for _, bs := range sc.to[prr] {
-			if !containsInt(sc.from[prr], bs) {
-				bitMs += loadMs
-			}
-		}
-	}
-	drcScratchPool.Put(sc)
+	sc := residencyPool.Get().(*residencyPair)
+	s.residencyOf(from, &sc.from)
+	s.residencyOf(to, &sc.to)
+	v := s.drcTotal(from, to, &sc.from, &sc.to)
+	residencyPool.Put(sc)
+	return v
+}
+
+// drcTotal is DRCTotal over the two mappings' precomputed resident
+// sets.
+func (s *Space) drcTotal(from, to *Mapping, rf, rt *residency) float64 {
+	binMs, _ := s.binaryMs(from, to)
+	bitMs, _ := s.bitstreamMs(rf, rt)
 	return binMs + bitMs
 }
 
@@ -145,9 +80,10 @@ type costRow struct {
 	cells []atomic.Pointer[ReconfigCost]
 }
 
-// NewDRCMatrix precomputes the |maps|^2 pairwise totals. Every entry
-// is bit-identical to Space.DRC(maps[from], maps[to]).Total(). The
-// matrix retains s and maps to fill its transition-cost table.
+// NewDRCMatrix precomputes the |maps|^2 pairwise totals from each
+// mapping's resident set, computed once. Every entry is bit-identical
+// to Space.DRC(maps[from], maps[to]).Total(). The matrix retains s and
+// maps to fill its transition-cost table.
 func NewDRCMatrix(s *Space, maps []*Mapping) *DRCMatrix {
 	n := len(maps)
 	m := &DRCMatrix{
@@ -157,13 +93,14 @@ func NewDRCMatrix(s *Space, maps []*Mapping) *DRCMatrix {
 		maps:   maps,
 		trans:  make([]atomic.Pointer[costRow], n),
 	}
+	res := s.residencies(maps)
 	for i, from := range maps {
 		row := m.totals[i*n : (i+1)*n]
 		for j, to := range maps {
 			if i == j {
 				continue // dRC(x, x) = 0: nothing moves
 			}
-			row[j] = s.DRCTotal(from, to)
+			row[j] = s.drcTotal(from, to, &res[i], &res[j])
 		}
 	}
 	return m
@@ -208,34 +145,34 @@ func (m *DRCMatrix) Cost(from, to int) ReconfigCost {
 
 // DRCCache memoises average reconfiguration distances from arbitrary
 // (typically out-of-database) configurations to a frozen stored set,
-// keyed by the configuration's canonical Key. GAs re-evaluate cloned
-// genomes every generation; the cache collapses those duplicates to
-// one distance computation each. Safe for concurrent use.
+// keyed by genome hash. GAs re-evaluate cloned genomes every
+// generation; the cache collapses those duplicates to one distance
+// computation each. The stored set's resident sets are computed once,
+// when the cache is built. It keeps a reference to every genome it
+// memoises, which must therefore not be modified afterwards. Safe for
+// concurrent use.
 type DRCCache struct {
 	space *Space
 	set   []*Mapping
-	mu    sync.Mutex
-	avg   map[string]float64
+	res   []residency // res[i] is set[i]'s resident set
+	memo  Memo[float64]
+	// hash keys the memo; tests replace it to force collisions.
+	hash func(*Mapping) uint64
 }
 
 // NewDRCCache builds an empty cache over the stored set.
 func NewDRCCache(s *Space, set []*Mapping) *DRCCache {
-	return &DRCCache{space: s, set: set, avg: make(map[string]float64)}
+	return &DRCCache{space: s, set: set, res: s.residencies(set), hash: (*Mapping).Hash}
 }
 
-// AvgDRC returns Space.AvgDRCTo(m, set), computing it at most once per
-// distinct genome.
+// AvgDRC returns Space.AvgDRCTo(m, set), bit for bit, computing it at
+// most once per distinct genome. A hit allocates nothing.
 func (c *DRCCache) AvgDRC(m *Mapping) float64 {
-	key := m.Key()
-	c.mu.Lock()
-	v, ok := c.avg[key]
-	c.mu.Unlock()
-	if ok {
+	h := c.hash(m)
+	if v, ok := c.memo.Get(h, m); ok {
 		return v
 	}
-	v = c.space.AvgDRCTo(m, c.set)
-	c.mu.Lock()
-	c.avg[key] = v
-	c.mu.Unlock()
+	v := c.space.avgDRC(m, c.set, c.res)
+	c.memo.Add(h, m, v)
 	return v
 }

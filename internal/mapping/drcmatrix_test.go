@@ -4,7 +4,10 @@ import (
 	"sync"
 	"testing"
 
+	"clrdse/internal/platform"
+	"clrdse/internal/relmodel"
 	"clrdse/internal/rng"
+	"clrdse/internal/taskgraph"
 )
 
 // randomMappings draws n valid mappings from the space.
@@ -17,17 +20,62 @@ func randomMappings(s *Space, n int, seed int64) []*Mapping {
 	return ms
 }
 
-func TestDRCTotalMatchesDRC(t *testing.T) {
-	s := testSpace(t, 30)
-	ms := randomMappings(s, 20, 17)
-	for i, from := range ms {
-		for j, to := range ms {
-			want := s.DRC(from, to).Total()
-			got := s.DRCTotal(from, to)
-			if got != want {
-				t.Fatalf("DRCTotal(%d,%d) = %v, DRC().Total() = %v (must be bit-identical)", i, j, want, got)
+// accelMappings draws n valid mappings that put most tasks on an
+// accelerator implementation when the task has one, so several
+// circuits crowd onto each PRR.
+func accelMappings(s *Space, n int, seed int64) []*Mapping {
+	r := rng.New(seed)
+	ms := make([]*Mapping, n)
+	for i := range ms {
+		m := s.Random(r)
+		for t := range m.Genes {
+			for impl, im := range s.Graph.Tasks[t].Impls {
+				pes := s.CompatiblePEs(t, impl)
+				if im.BitstreamID >= 0 && len(pes) > 0 && r.Bool(0.9) {
+					m.Genes[t].Impl = impl
+					m.Genes[t].PE = pes[r.Intn(len(pes))]
+					break
+				}
 			}
 		}
+		ms[i] = m
+	}
+	return ms
+}
+
+// accelSpace is a 60-task application whose every task type has an
+// accelerator implementation (fifteen circuits).
+func accelSpace(t *testing.T, seed int64) *Space {
+	t.Helper()
+	plat := platform.Default()
+	g, err := taskgraph.Generate(taskgraph.GenParams{Seed: seed, NumTasks: 60, AccelProb: 1}, plat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &Space{Graph: g, Platform: plat, Catalogue: relmodel.DefaultCatalogue()}
+}
+
+func TestDRCTotalMatchesDRC(t *testing.T) {
+	check := func(s *Space, ms []*Mapping) {
+		t.Helper()
+		for i, from := range ms {
+			for j, to := range ms {
+				want := s.DRC(from, to).Total()
+				got := s.DRCTotal(from, to)
+				if got != want {
+					t.Fatalf("%s: DRCTotal(%d,%d) = %v, DRC().Total() = %v (must be bit-identical)", s.Graph.Name, i, j, got, want)
+				}
+			}
+		}
+	}
+	s := testSpace(t, 30)
+	check(s, randomMappings(s, 20, 17))
+	// Accelerator-heavy mappings load ten or more new circuits into one
+	// PRR, where multiplying the load count by the load time would part
+	// from adding one load at a time.
+	for seed := int64(0); seed < 40; seed++ {
+		s := accelSpace(t, 900+seed)
+		check(s, accelMappings(s, 40, seed))
 	}
 }
 

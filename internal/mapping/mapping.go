@@ -78,6 +78,31 @@ func (m *Mapping) Key() string {
 	return string(b)
 }
 
+// Hash returns a 64-bit hash of the genes: the key of the genome memos
+// (Memo), which tell genomes that share a hash apart with Equal. Unlike
+// Key it allocates nothing.
+func (m *Mapping) Hash() uint64 {
+	h := uint64(len(m.Genes))
+	for i := range m.Genes {
+		g := &m.Genes[i]
+		h = hashWord(h, g.PE)
+		h = hashWord(h, g.Impl)
+		h = hashWord(h, g.CLR.HW)
+		h = hashWord(h, g.CLR.SSW)
+		h = hashWord(h, g.CLR.ASW)
+		h = hashWord(h, g.Prio)
+	}
+	return h
+}
+
+// hashWord folds one gene field into the running hash: a multiply by
+// the 64-bit golden ratio, then an xor-shift so high bits feed back
+// into the low ones.
+func hashWord(h uint64, v int) uint64 {
+	h = (h ^ uint64(v)) * 0x9e3779b97f4a7c15
+	return h ^ h>>32
+}
+
 // Equal reports whether two mappings are identical gene-for-gene.
 func (m *Mapping) Equal(o *Mapping) bool {
 	if len(m.Genes) != len(o.Genes) {
@@ -138,18 +163,87 @@ func (s *Space) CompatiblePEs(task, impl int) []int {
 func (s *Space) RunnableImpls(task int) []int {
 	var out []int
 	for i := range s.Graph.Tasks[task].Impls {
-		if len(s.CompatiblePEs(task, i)) > 0 {
+		if s.runnable(task, i) {
 			out = append(out, i)
 		}
 	}
 	return out
 }
 
+// runnable reports whether the task's implementation has at least one
+// PE to run on.
+func (s *Space) runnable(task, impl int) bool {
+	return s.numPEsOfType(s.Graph.Tasks[task].Impls[impl].PEType) > 0
+}
+
+// numPEsOfType counts the platform's PEs of one type.
+func (s *Space) numPEsOfType(typ int) int {
+	n := 0
+	for i := range s.Platform.PEs {
+		if s.Platform.PEs[i].Type == typ {
+			n++
+		}
+	}
+	return n
+}
+
+// numRunnable counts the task's runnable implementations: the length
+// of RunnableImpls(task), without building it.
+func (s *Space) numRunnable(task int) int {
+	n := 0
+	for i := range s.Graph.Tasks[task].Impls {
+		if s.runnable(task, i) {
+			n++
+		}
+	}
+	return n
+}
+
+// RandomImpl draws one of the task's runnable implementations
+// uniformly: RunnableImpls(task)[r.Intn(len(RunnableImpls(task)))],
+// with the same single draw and no slice. It panics if the task has
+// no runnable implementation; callers gate on Check.
+func (s *Space) RandomImpl(task int, r *rng.Source) int {
+	n := s.numRunnable(task)
+	if n == 0 {
+		panic(fmt.Sprintf("mapping: task %d has no runnable implementation (call Space.Check first)", task))
+	}
+	k := r.Intn(n)
+	for i := range s.Graph.Tasks[task].Impls {
+		if !s.runnable(task, i) {
+			continue
+		}
+		if k == 0 {
+			return i
+		}
+		k--
+	}
+	panic("unreachable")
+}
+
+// RandomPE draws one of the PEs the task's implementation can run on
+// uniformly: CompatiblePEs(task, impl)[r.Intn(len(...))], with the same
+// single draw and no slice.
+func (s *Space) RandomPE(task, impl int, r *rng.Source) int {
+	typ := s.Graph.Tasks[task].Impls[impl].PEType
+	k := r.Intn(s.numPEsOfType(typ))
+	for i := range s.Platform.PEs {
+		if s.Platform.PEs[i].Type != typ {
+			continue
+		}
+		if k == 0 {
+			return s.Platform.PEs[i].ID
+		}
+		k--
+	}
+	panic("unreachable")
+}
+
 // Check reports whether every task has at least one runnable
 // implementation, i.e. whether any valid mapping exists at all.
 func (s *Space) Check() error {
 	for t := range s.Graph.Tasks {
-		if len(s.RunnableImpls(t)) == 0 {
+		if s.numRunnable(t) == 0 {
 			return fmt.Errorf("mapping: task %d has no implementation runnable on platform %q", t, s.Platform.Name)
 		}
 	}
@@ -158,44 +252,31 @@ func (s *Space) Check() error {
 
 // Random generates a uniformly random valid mapping: for each task it
 // picks an implementation, then a PE of the matching type, a CLR
-// configuration and a priority.
+// configuration and a priority. It allocates only the genome.
 func (s *Space) Random(r *rng.Source) *Mapping {
 	n := s.Graph.NumTasks()
 	m := &Mapping{Genes: make([]Gene, n)}
 	for t := 0; t < n; t++ {
-		s.randomizeGene(m, t, r)
-		m.Genes[t].Prio = r.Intn(4 * n)
+		g := &m.Genes[t]
+		g.Impl = s.RandomImpl(t, r)
+		g.PE = s.RandomPE(t, g.Impl, r)
+		g.CLR = relmodel.ConfigFromIndex(r.Intn(s.Catalogue.NumConfigs()), s.Catalogue)
+		g.Prio = r.Intn(4 * n)
 	}
 	return m
-}
-
-// randomizeGene assigns a random valid (impl, PE, CLR) triple to task
-// t, leaving Prio untouched. It panics if the task has no runnable
-// implementation; callers gate on Check.
-func (s *Space) randomizeGene(m *Mapping, t int, r *rng.Source) {
-	runnable := s.RunnableImpls(t)
-	if len(runnable) == 0 {
-		panic(fmt.Sprintf("mapping: task %d has no runnable implementation (call Space.Check first)", t))
-	}
-	impl := runnable[r.Intn(len(runnable))]
-	pes := s.CompatiblePEs(t, impl)
-	m.Genes[t].Impl = impl
-	m.Genes[t].PE = pes[r.Intn(len(pes))]
-	m.Genes[t].CLR = relmodel.ConfigFromIndex(r.Intn(s.Catalogue.NumConfigs()), s.Catalogue)
 }
 
 // Repair makes a possibly-invalid mapping valid in place with minimal
 // disturbance: out-of-range indices are clamped, and an impl/PE type
 // mismatch is resolved by re-binding the task to a random compatible
 // PE (keeping the implementation choice, which crossover meant to
-// preserve).
+// preserve). It allocates nothing.
 func (s *Space) Repair(m *Mapping, r *rng.Source) {
 	for t := range m.Genes {
 		g := &m.Genes[t]
 		impls := s.Graph.Tasks[t].Impls
-		if g.Impl < 0 || g.Impl >= len(impls) || len(s.CompatiblePEs(t, g.Impl)) == 0 {
-			runnable := s.RunnableImpls(t)
-			g.Impl = runnable[r.Intn(len(runnable))]
+		if g.Impl < 0 || g.Impl >= len(impls) || !s.runnable(t, g.Impl) {
+			g.Impl = s.RandomImpl(t, r)
 		}
 		if g.CLR.HW < 0 || g.CLR.HW >= len(s.Catalogue.HW) {
 			g.CLR.HW = r.Intn(len(s.Catalogue.HW))
@@ -208,8 +289,7 @@ func (s *Space) Repair(m *Mapping, r *rng.Source) {
 		}
 		if g.PE < 0 || g.PE >= s.Platform.NumPEs() ||
 			impls[g.Impl].PEType != s.Platform.PEs[g.PE].Type {
-			pes := s.CompatiblePEs(t, g.Impl)
-			g.PE = pes[r.Intn(len(pes))]
+			g.PE = s.RandomPE(t, g.Impl, r)
 		}
 		if g.Prio < 0 {
 			g.Prio = -g.Prio

@@ -18,13 +18,16 @@
 package schedule
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"sync"
 
 	"clrdse/internal/mapping"
 	"clrdse/internal/plot"
 	"clrdse/internal/relmodel"
+	"clrdse/internal/taskgraph"
 )
 
 // Slot is one task's placement in the computed schedule.
@@ -128,40 +131,22 @@ func (e *Evaluator) run(m *mapping.Mapping, durOverride []float64) (*Result, err
 		}
 	}
 
-	// Priority-driven list scheduling.
-	preds := g.Preds()
-	succs := g.Succs()
-	remaining := make([]int, n) // unscheduled predecessor count
-	dataReady := make([]float64, n)
+	// Priority-driven list scheduling. The working state lives in
+	// pooled scratch; it is rebuilt from the graph on every call, so a
+	// graph edited between calls is scheduled as it now stands.
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	sc.reset(g, plat.NumPEs())
+	rq := readyQueue{genes: m.Genes, heap: sc.ready}
 	for t := 0; t < n; t++ {
-		remaining[t] = len(preds[t])
-	}
-	peAvail := make([]float64, plat.NumPEs())
-	peLastBitstream := make([]int, plat.NumPEs())
-	for i := range peLastBitstream {
-		peLastBitstream[i] = -1
-	}
-	// Ready list ordered by (priority desc, task ID asc) for
-	// determinism.
-	var ready []int
-	push := func(t int) { ready = append(ready, t) }
-	for t := 0; t < n; t++ {
-		if remaining[t] == 0 {
-			push(t)
+		if sc.remaining[t] == 0 {
+			rq.push(t)
 		}
 	}
 	scheduled := 0
 	busAvail := 0.0
-	for len(ready) > 0 {
-		sort.Slice(ready, func(a, b int) bool {
-			pa, pb := m.Genes[ready[a]].Prio, m.Genes[ready[b]].Prio
-			if pa != pb {
-				return pa > pb
-			}
-			return ready[a] < ready[b]
-		})
-		t := ready[0]
-		ready = ready[1:]
+	for len(rq.heap) > 0 {
+		t := rq.pop()
 
 		gene := m.Genes[t]
 		slot := &res.Slots[t]
@@ -169,7 +154,7 @@ func (e *Evaluator) run(m *mapping.Mapping, durOverride []float64) (*Result, err
 			// Cross-PE transfers serialise on the shared interconnect
 			// in scheduling order; every predecessor is already placed
 			// when the list scheduler reaches t.
-			for _, eid := range preds[t] {
+			for _, eid := range sc.preds.of(t) {
 				edge := g.Edges[eid]
 				arrive := res.Slots[edge.Src].EndMs
 				if m.Genes[edge.Src].PE != gene.PE {
@@ -177,22 +162,22 @@ func (e *Evaluator) run(m *mapping.Mapping, durOverride []float64) (*Result, err
 					arrive = ts + edge.CommTimeMs
 					busAvail = arrive
 				}
-				if arrive > dataReady[t] {
-					dataReady[t] = arrive
+				if arrive > sc.dataReady[t] {
+					sc.dataReady[t] = arrive
 				}
 			}
 		}
-		start := math.Max(peAvail[gene.PE], dataReady[t])
+		start := math.Max(sc.peAvail[gene.PE], sc.dataReady[t])
 
 		// Time-multiplexed PRR use: swapping circuits costs a
 		// bitstream load before the task can start.
 		im := &g.Tasks[t].Impls[gene.Impl]
 		if im.BitstreamID >= 0 {
 			prr := plat.PEs[gene.PE].PRR
-			if last := peLastBitstream[gene.PE]; last >= 0 && last != im.BitstreamID {
+			if last := sc.peLastBitstream[gene.PE]; last >= 0 && last != im.BitstreamID {
 				start += plat.BitstreamLoadMs(plat.PRRs[prr].BitstreamKB)
 			}
-			peLastBitstream[gene.PE] = im.BitstreamID
+			sc.peLastBitstream[gene.PE] = im.BitstreamID
 		}
 
 		dur := slot.Metrics.AvgExTMs
@@ -201,26 +186,27 @@ func (e *Evaluator) run(m *mapping.Mapping, durOverride []float64) (*Result, err
 		}
 		slot.StartMs = start
 		slot.EndMs = start + dur
-		peAvail[gene.PE] = slot.EndMs
+		sc.peAvail[gene.PE] = slot.EndMs
 		scheduled++
 
-		for _, eid := range succs[t] {
+		for _, eid := range sc.succs.of(t) {
 			edge := g.Edges[eid]
 			if !e.ContentionAware {
 				arrive := slot.EndMs
 				if m.Genes[edge.Dst].PE != gene.PE {
 					arrive += edge.CommTimeMs
 				}
-				if arrive > dataReady[edge.Dst] {
-					dataReady[edge.Dst] = arrive
+				if arrive > sc.dataReady[edge.Dst] {
+					sc.dataReady[edge.Dst] = arrive
 				}
 			}
-			remaining[edge.Dst]--
-			if remaining[edge.Dst] == 0 {
-				push(edge.Dst)
+			sc.remaining[edge.Dst]--
+			if sc.remaining[edge.Dst] == 0 {
+				rq.push(edge.Dst)
 			}
 		}
 	}
+	sc.ready = rq.heap[:0] // keep the grown capacity
 	if scheduled != n {
 		return nil, fmt.Errorf("schedule: only %d of %d tasks schedulable (cyclic graph?)", scheduled, n)
 	}
@@ -238,33 +224,170 @@ func (e *Evaluator) run(m *mapping.Mapping, durOverride []float64) (*Result, err
 			res.MTTFMs = s.Metrics.MTTFMs
 		}
 	}
-	res.PeakPowerW = peakPower(res.Slots)
+	res.PeakPowerW = sc.peakPower(res.Slots)
 	res.MeetsPeriod = res.MakespanMs <= g.PeriodMs
 	return res, nil
 }
 
+// scratch is one evaluation's working state. It is pooled, so a
+// steady-state evaluation allocates only its Result; nothing is kept
+// on the Space, whose graph a caller may edit between evaluations.
+type scratch struct {
+	preds, succs    adjacency
+	remaining       []int // unscheduled predecessor count
+	dataReady       []float64
+	peAvail         []float64
+	peLastBitstream []int
+	ready           []int // readyQueue storage
+	events          []powerEvent
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// reset sizes the scratch for the graph and a platform of nPE PEs and
+// builds the dependency lists from the graph's current edges.
+func (sc *scratch) reset(g *taskgraph.Graph, nPE int) {
+	n := g.NumTasks()
+	sc.preds.build(g, n, func(e *taskgraph.Edge) int { return e.Dst })
+	sc.succs.build(g, n, func(e *taskgraph.Edge) int { return e.Src })
+	sc.remaining = resize(sc.remaining, n)
+	for t := 0; t < n; t++ {
+		sc.remaining[t] = len(sc.preds.of(t))
+	}
+	sc.dataReady = resize(sc.dataReady, n)
+	clear(sc.dataReady)
+	sc.peAvail = resize(sc.peAvail, nPE)
+	clear(sc.peAvail)
+	sc.peLastBitstream = resize(sc.peLastBitstream, nPE)
+	for i := range sc.peLastBitstream {
+		sc.peLastBitstream[i] = -1
+	}
+	sc.ready = sc.ready[:0]
+}
+
+// resize returns xs with length n, reusing its storage when it fits.
+// The contents are unspecified.
+func resize[T any](xs []T, n int) []T {
+	if cap(xs) < n {
+		return make([]T, n)
+	}
+	return xs[:n]
+}
+
+// adjacency lists each task's incident edge IDs in compressed form:
+// task t's are ids[off[t]:off[t+1]], in edge order — the order
+// Graph.Preds and Graph.Succs list them.
+type adjacency struct {
+	off, ids []int
+}
+
+// build indexes the graph's edges by the task end picks.
+func (a *adjacency) build(g *taskgraph.Graph, n int, end func(*taskgraph.Edge) int) {
+	a.off = resize(a.off, n+1)
+	clear(a.off)
+	for i := range g.Edges {
+		a.off[end(&g.Edges[i])+1]++
+	}
+	for t := 0; t < n; t++ {
+		a.off[t+1] += a.off[t]
+	}
+	a.ids = resize(a.ids, len(g.Edges))
+	// off[t+1] is now the end of task t's run. Fill each run from its
+	// end, walking the edges backwards so the run keeps edge order;
+	// off[t+1] then holds the run's start, one slot late.
+	for i := len(g.Edges) - 1; i >= 0; i-- {
+		e := &g.Edges[i]
+		t := end(e)
+		a.off[t+1]--
+		a.ids[a.off[t+1]] = e.ID
+	}
+	copy(a.off[:n], a.off[1:])
+	a.off[n] = len(g.Edges)
+}
+
+func (a *adjacency) of(t int) []int { return a.ids[a.off[t]:a.off[t+1]] }
+
+// readyQueue is the list scheduler's ready set: a binary heap that
+// pops tasks by priority, highest first, ties by lower task ID. The
+// order is total, so it pops exactly the sequence that re-sorting the
+// ready list before every pop would.
+type readyQueue struct {
+	genes []mapping.Gene
+	heap  []int
+}
+
+// before reports whether task a pops before task b.
+func (q *readyQueue) before(a, b int) bool {
+	pa, pb := q.genes[a].Prio, q.genes[b].Prio
+	if pa != pb {
+		return pa > pb
+	}
+	return a < b
+}
+
+func (q *readyQueue) push(t int) {
+	q.heap = append(q.heap, t)
+	for i := len(q.heap) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !q.before(q.heap[i], q.heap[p]) {
+			break
+		}
+		q.heap[i], q.heap[p] = q.heap[p], q.heap[i]
+		i = p
+	}
+}
+
+func (q *readyQueue) pop() int {
+	h := q.heap
+	top := h[0]
+	last := len(h) - 1
+	h[0] = h[last]
+	h = h[:last]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && q.before(h[c+1], h[c]) {
+			c++
+		}
+		if !q.before(h[c], h[i]) {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	q.heap = h
+	return top
+}
+
+// powerEvent is a task start (+power) or end (-power) in the peak
+// power sweep.
+type powerEvent struct {
+	at, delta float64
+}
+
 // peakPower sweeps the schedule's start/end events and returns the
 // maximum instantaneous sum of active task powers (Eq. 3's W_app).
-func peakPower(slots []Slot) float64 {
-	type event struct {
-		at    float64
-		delta float64
-	}
-	evs := make([]event, 0, 2*len(slots))
+func (sc *scratch) peakPower(slots []Slot) float64 {
+	evs := sc.events[:0]
 	for i := range slots {
 		evs = append(evs,
-			event{slots[i].StartMs, slots[i].Metrics.PowerW},
-			event{slots[i].EndMs, -slots[i].Metrics.PowerW},
+			powerEvent{slots[i].StartMs, slots[i].Metrics.PowerW},
+			powerEvent{slots[i].EndMs, -slots[i].Metrics.PowerW},
 		)
 	}
-	sort.Slice(evs, func(a, b int) bool {
-		if evs[a].at != evs[b].at {
-			return evs[a].at < evs[b].at
+	// Departures sort before arrivals at equal timestamps, so
+	// back-to-back tasks on one PE do not double-count. Events equal
+	// in both fields are interchangeable, so any sort gives the same
+	// sum.
+	slices.SortFunc(evs, func(a, b powerEvent) int {
+		if c := cmp.Compare(a.at, b.at); c != 0 {
+			return c
 		}
-		// Process departures before arrivals at equal timestamps so
-		// back-to-back tasks on one PE do not double-count.
-		return evs[a].delta < evs[b].delta
+		return cmp.Compare(a.delta, b.delta)
 	})
+	sc.events = evs
 	cur, peak := 0.0, 0.0
 	for _, ev := range evs {
 		cur += ev.delta
