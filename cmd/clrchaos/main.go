@@ -1,58 +1,55 @@
-// Command clrchaos soak-tests the fleet decision service under
-// deterministic fault injection. It runs the design-time flow once,
-// then drives the same fleet of simulated devices through the same
-// QoS event scripts twice: a fault-free reference pass, and a chaos
-// pass with the full fault schedule (dropped requests, latency
-// spikes, truncated and mangled response bodies, server-side
-// rejections, stalled and corrupted decision paths). The resilient
-// client masks the faults with retries; the command then asserts the
-// service's resilience invariants:
+// Command clrchaos soak-tests the fleet decision service. It runs the
+// design-time flow once, then drives a fleet of simulated devices
+// through the same QoS event scripts twice with soak.Run: a
+// fault-free single-server reference pass, and a soak pass under
+// attack. By default the attack is deterministic fault injection on
+// one server (dropped requests, latency spikes, truncated and mangled
+// response bodies, server-side rejections, stalled and corrupted
+// decision paths), which the resilient client masks with retries.
+// With -cluster N it is a seeded kill/restart schedule on an N-node
+// in-process cluster. Either way the soak asserts:
 //
-//  1. no device state is lost — every device is still registered and
-//     has decided exactly its events,
-//  2. every QoS event was eventually answered with a real (non-
-//     degraded) decision,
-//  3. the accepted decision sequence is byte-identical to the
-//     fault-free reference pass.
-//  4. the decision journal is complete — every (device, seq) has
-//     exactly one non-degraded entry carrying a valid trace ID, so
-//     every answer the fleet gave can be explained after the fact.
+//  1. every QoS event is answered, byte-identical to the fault-free
+//     reference;
+//  2. no device state is lost: every device sits on exactly one live
+//     node having decided exactly its events;
+//  3. the decision journal is complete: once identical migrated
+//     copies are removed, every (device, seq) has exactly one
+//     non-degraded entry and nothing outside the script does, every
+//     entry carries a valid trace ID, and degraded entries appear only
+//     when faults are injected;
+//  4. a fault-injecting run injected at least one fault.
 //
-// Fault injection is seeded (-chaos-seed); the same seed reproduces
-// the identical fault schedule. The command exits non-zero if any
-// invariant is violated, which is how CI consumes it.
+// Both passes are seeded (-spec-seed, -chaos-seed); the same seeds
+// reproduce the identical fault or kill schedule. The command exits
+// non-zero if any invariant is violated.
 //
 // Usage:
 //
 //	clrchaos -devices 8 -events 40
 //	clrchaos -intensity 2 -chaos-seed 99 -decide-timeout 100ms
-//	clrchaos -journal-out /tmp/journal.json   # dump the chaos-pass journal
+//	clrchaos -cluster 3 -chaos-seed 7         # kill/restart instead of faults
+//	clrchaos -journal-out /tmp/journal.json   # dump the soak pass's journal
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
-	"net"
-	"net/http"
 	"os"
-	"sync"
 	"time"
 
 	"clrdse/internal/chaos"
 	"clrdse/internal/core"
 	"clrdse/internal/dse"
 	"clrdse/internal/fleet"
-	"clrdse/internal/fleet/client"
+	"clrdse/internal/fleet/fleettest"
+	"clrdse/internal/fleet/fleettest/soak"
 	"clrdse/internal/ga"
 	"clrdse/internal/obs"
 	"clrdse/internal/platform"
-	"clrdse/internal/rng"
-	"clrdse/internal/runtime"
 	"clrdse/internal/taskgraph"
 )
 
@@ -73,7 +70,7 @@ func main() {
 		attemptT = flag.Duration("attempt-timeout", 2*time.Second, "client per-attempt deadline")
 		decideTO = flag.Duration("decide-timeout", 250*time.Millisecond, "server per-decision deadline")
 		rounds   = flag.Int("max-rounds", 64, "driver re-submissions per event before giving up")
-		jout     = flag.String("journal-out", "", "write the chaos-pass decision journal JSON here (always when set, plus on any violation)")
+		jout     = flag.String("journal-out", "", "write the soak pass's decision journal JSON here (always when set, plus on any violation)")
 
 		clusterN = flag.Int("cluster", 0, "cluster soak mode: run an N-node ring and attack membership (seeded kill/restart) instead of the transport")
 	)
@@ -97,338 +94,107 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	dbs := []fleet.NamedDatabase{{Name: "red", DB: sys.Database(), Space: sys.Problem.Space}}
 
+	cfg := soak.Config{
+		Databases:      []fleet.NamedDatabase{{Name: "red", DB: sys.Database(), Space: sys.Problem.Space}},
+		Devices:        *devices,
+		Events:         *events,
+		SpecSeed:       *specSeed,
+		Attempts:       *attempts,
+		AttemptTimeout: *attemptT,
+		DecideTimeout:  *decideTO,
+	}
 	if *clusterN > 1 {
-		violations := 0
-		report := func(format string, args ...any) {
-			violations++
-			fmt.Printf("INVARIANT VIOLATED: "+format+"\n", args...)
-		}
+		cfg.Nodes, cfg.KillSeed, cfg.Gamma = *clusterN, *chaosSeed, 0.9
 		log.Info("cluster soak starting", "nodes", *clusterN, "devices", *devices, "events", *events, "kill_seed", *chaosSeed)
-		err := runClusterSoak(clusterSoakParams{
-			dbs:      dbs,
-			nodes:    *clusterN,
-			devices:  *devices,
-			events:   *events,
-			specSeed: *specSeed,
-			killSeed: *chaosSeed,
-			attempts: *attempts,
-			attemptT: *attemptT,
-		}, report)
-		if err != nil {
-			fatal(err)
-		}
-		if violations > 0 {
-			fmt.Printf("\nFAIL: %d invariant violations\n", violations)
-			os.Exit(1)
-		}
-		fmt.Printf("\nOK: %d-node cluster survived seeded kill/restart; no device lost, no sequence answered twice, decisions byte-identical to single-node reference\n", *clusterN)
-		return
+	} else {
+		cfg.Faults = chaos.New(chaos.Config{
+			Seed:              *chaosSeed,
+			PDropRequest:      0.04 * *intensity,
+			PLatency:          0.04 * *intensity,
+			PDropResponse:     0.04 * *intensity,
+			PTruncateResponse: 0.03 * *intensity,
+			PMangleResponse:   0.03 * *intensity,
+			LatencyMin:        time.Millisecond,
+			LatencyMax:        10 * time.Millisecond,
+			PReject:           0.05 * *intensity,
+			PServerLatency:    0.04 * *intensity,
+			PStall:            0.04 * *intensity,
+			PCorrupt:          0.04 * *intensity,
+			StallMin:          *decideTO * 2,
+			StallMax:          *decideTO * 4,
+		})
+		cfg.Rounds = *rounds
+		log.Info("chaos soak starting", "devices", *devices, "events", *events, "chaos_seed", *chaosSeed)
 	}
-
-	p := soakParams{
-		dbs:      dbs,
-		devices:  *devices,
-		events:   *events,
-		specSeed: *specSeed,
-		attempts: *attempts,
-		attemptT: *attemptT,
-		decideTO: *decideTO,
-		rounds:   *rounds,
-	}
-
-	log.Info("reference pass starting", "devices", *devices, "events", *events)
-	ref, err := runPass(p, nil)
+	ok, err := run(os.Stdout, cfg, *jout)
 	if err != nil {
 		fatal(err)
 	}
-
-	inj := chaos.New(chaos.Config{
-		Seed:              *chaosSeed,
-		PDropRequest:      0.04 * *intensity,
-		PLatency:          0.04 * *intensity,
-		PDropResponse:     0.04 * *intensity,
-		PTruncateResponse: 0.03 * *intensity,
-		PMangleResponse:   0.03 * *intensity,
-		LatencyMin:        time.Millisecond,
-		LatencyMax:        10 * time.Millisecond,
-		PReject:           0.05 * *intensity,
-		PServerLatency:    0.04 * *intensity,
-		PStall:            0.04 * *intensity,
-		PCorrupt:          0.04 * *intensity,
-		StallMin:          *decideTO * 2,
-		StallMax:          *decideTO * 4,
-	})
-	log.Info("chaos pass starting", "devices", *devices, "events", *events, "chaos_seed", *chaosSeed)
-	cha, err := runPass(p, inj)
-	if err != nil {
-		fatal(err)
-	}
-
-	violations := 0
-	report := func(format string, args ...any) {
-		violations++
-		fmt.Printf("INVARIANT VIOLATED: "+format+"\n", args...)
-	}
-	for d := 0; d < p.devices; d++ {
-		if cha.decided[d] != int64(p.events) {
-			report("device %d decided %d of %d events", d, cha.decided[d], p.events)
-		}
-		for i := 0; i < p.events; i++ {
-			r, c := ref.decisions[d][i], cha.decisions[d][i]
-			if c == "" {
-				report("device %d event %d never answered", d, i+1)
-				continue
-			}
-			if r != c {
-				report("device %d event %d diverged:\n  ref:   %s\n  chaos: %s", d, i+1, r, c)
-			}
-		}
-	}
-
-	// Invariant 4: the journal explains every decision exactly once.
-	// Replays are served from the cache without re-deciding, so even
-	// under chaos each (device, seq) gets one non-degraded entry;
-	// degraded fallbacks appear as extra flagged entries.
-	seen := make(map[string]int)
-	for _, e := range cha.journal {
-		if _, err := obs.ParseTraceID(string(e.TraceID)); err != nil {
-			report("journal entry %s seq %d has invalid trace ID %q", e.Device, e.Seq, e.TraceID)
-		}
-		if !e.Degraded {
-			seen[fmt.Sprintf("%s/%d", e.Device, e.Seq)]++
-		}
-	}
-	for d := 0; d < p.devices; d++ {
-		for i := 1; i <= p.events; i++ {
-			key := fmt.Sprintf("soak-%d/%d", d, i)
-			if n := seen[key]; n != 1 {
-				report("journal has %d non-degraded entries for %s, want exactly 1", n, key)
-			}
-			delete(seen, key)
-		}
-	}
-	for key, n := range seen {
-		report("journal has %d entries for unexpected decision %s", n, key)
-	}
-
-	fmt.Println()
-	fmt.Printf("faults injected:   %d\n", inj.Injected())
-	for _, k := range []chaos.Kind{
-		chaos.DropRequest, chaos.Latency, chaos.DropResponse,
-		chaos.TruncateResponse, chaos.MangleResponse,
-		chaos.Reject, chaos.ServerLatency, chaos.Stall, chaos.Corrupt,
-	} {
-		if n := inj.Count(k); n > 0 {
-			fmt.Printf("  %-18s %d\n", k.String()+":", n)
-		}
-	}
-	fmt.Printf("client retries:    %d\n", cha.stats.Retries)
-	fmt.Printf("breaker rejects:   %d\n", cha.stats.BreakerRejects)
-	fmt.Printf("degraded retried:  %d\n", cha.stats.DegradedRetries)
-	fmt.Printf("server replays:    %d\n", cha.replays)
-	fmt.Printf("server degraded:   %d\n", cha.degraded)
-	fmt.Printf("journal entries:   %d\n", len(cha.journal))
-
-	if *jout != "" || violations > 0 {
-		if err := dumpJournal(*jout, cha.journal); err != nil {
-			log.Error("journal dump failed", "err", err)
-		}
-	}
-	if violations > 0 {
-		fmt.Printf("\nFAIL: %d invariant violations\n", violations)
+	if !ok {
 		os.Exit(1)
 	}
-	fmt.Printf("\nOK: %d decisions byte-identical to the fault-free reference, all explained in the journal\n",
-		p.devices*p.events)
 }
 
-// dumpJournal writes the journal as indented JSON for offline triage.
-// With no explicit path it falls back to a file in the working
-// directory so a failing CI run still leaves an artifact behind.
-func dumpJournal(path string, entries []obs.Entry) error {
-	if path == "" {
-		path = "clrchaos-journal.json"
-	}
-	b, err := json.MarshalIndent(entries, "", "  ")
+// run runs the soak cfg describes and prints its schedule, fault and
+// retry counts, violations and verdict to w. The soak pass's journal
+// goes to jout when set, and on any violation (to
+// clrchaos-journal.json when jout is empty).
+func run(w io.Writer, cfg soak.Config, jout string) (ok bool, err error) {
+	res, err := soak.Run(cfg)
 	if err != nil {
-		return err
+		return false, err
 	}
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("decision journal written to %s\n", path)
-	return nil
-}
-
-type soakParams struct {
-	dbs      []fleet.NamedDatabase
-	devices  int
-	events   int
-	specSeed int64
-	attempts int
-	attemptT time.Duration
-	decideTO time.Duration
-	rounds   int
-}
-
-// passResult is one pass's accepted decisions and server-side stats.
-type passResult struct {
-	// decisions[d][i] is the canonical JSON of device d's decision for
-	// event i+1 ("" when the event was never answered).
-	decisions [][]string
-	// decided[d] is the server's per-device processed-event count.
-	decided []int64
-
-	replays, degraded int64
-	stats             client.Stats
-
-	// journal is the fleet-wide decision journal, snapshotted before
-	// the pass’s server shuts down.
-	journal []obs.Entry
-}
-
-// runPass boots a server (chaos-wrapped when inj is non-nil), drives
-// every device through its deterministic event script and collects the
-// accepted decisions. Each event is re-submitted — with its sequence
-// number, so the server decides it at most once — until a real
-// decision arrives.
-func runPass(p soakParams, inj *chaos.Injector) (*passResult, error) {
-	cfg := fleet.ServerConfig{
-		Databases:     p.dbs,
-		DecideTimeout: p.decideTO,
-		Logger:        slog.New(slog.NewTextHandler(io.Discard, nil)),
-	}
-	if inj != nil {
-		cfg.DecideHook = inj.DecideHook()
-	}
-	srv, err := fleet.NewServer(cfg)
-	if err != nil {
-		return nil, err
-	}
-	handler := srv.Handler()
-	if inj != nil {
-		handler = inj.Middleware(handler)
-	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	hs := &http.Server{Handler: handler}
-	done := make(chan error, 1)
-	go func() { done <- hs.Serve(l) }()
-	defer func() {
-		hs.Close()
-		<-done
-	}()
-
-	tr := http.DefaultTransport.(*http.Transport).Clone()
-	tr.MaxIdleConnsPerHost = p.devices
-	var rt http.RoundTripper = tr
-	if inj != nil {
-		rt = &chaos.Transport{Injector: inj, Base: tr}
-	}
-	c := client.New(client.Config{
-		BaseURL:        "http://" + l.Addr().String(),
-		Transport:      rt,
-		MaxAttempts:    p.attempts,
-		AttemptTimeout: p.attemptT,
-		JitterSeed:     p.specSeed,
-		RetryDegraded:  true,
-		// Under deliberately injected 503s a breaker that opens easily
-		// only adds rejection noise; the soak wants the retry path hot.
-		BreakerThreshold: 1 << 20,
-	})
-	ctx := context.Background()
-
-	db := p.dbs[0]
-	_, maxS, minF, _ := db.Envelope()
-	model := runtime.ModelFromDatabase(db.DB)
-	root := rng.New(p.specSeed)
-	scripts := make([][]runtime.QoSSpec, p.devices)
-	for d := range scripts {
-		src := root.Split(int64(d))
-		stream := model.Stream()
-		scripts[d] = make([]runtime.QoSSpec, p.events)
-		for i := range scripts[d] {
-			scripts[d][i] = stream.Next(src)
-		}
-	}
-
-	for d := 0; d < p.devices; d++ {
-		_, err := c.Register(ctx, fleet.RegisterRequest{
-			ID:       fmt.Sprintf("soak-%d", d),
-			Database: db.Name,
-			PRC:      0.5,
-			Trigger:  "on-violation",
-			Initial:  fleet.QoSSpecJSON{SMaxMs: maxS, FMin: minF},
-		})
-		if err != nil {
-			return nil, fmt.Errorf("register soak-%d: %w", d, err)
-		}
-	}
-
-	res := &passResult{
-		decisions: make([][]string, p.devices),
-		decided:   make([]int64, p.devices),
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, p.devices)
-	for d := 0; d < p.devices; d++ {
-		res.decisions[d] = make([]string, p.events)
-		wg.Add(1)
-		go func(d int) {
-			defer wg.Done()
-			id := fmt.Sprintf("soak-%d", d)
-			for i, spec := range scripts[d] {
-				wire := fleet.QoSSpecJSON{SMaxMs: spec.SMaxMs, FMin: spec.FMin}
-				var dec *fleet.DecisionJSON
-				var err error
-				for round := 0; round < p.rounds; round++ {
-					dec, err = c.QoS(ctx, id, uint64(i+1), wire)
-					if err == nil {
-						break
-					}
-				}
-				if err != nil {
-					errs[d] = fmt.Errorf("%s event %d: %w", id, i+1, err)
-					return
-				}
-				res.decisions[d][i] = canonical(dec)
+	if len(res.Schedule) > 0 {
+		fmt.Fprintf(w, "membership schedule (seed %d):\n", cfg.KillSeed)
+		for _, ev := range res.Schedule {
+			verb := "kill"
+			if ev.Restart {
+				verb = "restart"
 			}
-		}(d)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+			fmt.Fprintf(w, "  round %-3d %s node-%d\n", ev.Round, verb, ev.Node)
 		}
 	}
-
-	for d := 0; d < p.devices; d++ {
-		info, err := srv.Registry().Get(fmt.Sprintf("soak-%d", d))
-		if err != nil {
-			return nil, fmt.Errorf("device soak-%d lost: %w", d, err)
+	if inj := cfg.Faults; inj != nil {
+		fmt.Fprintf(w, "faults injected:   %d\n", inj.Injected())
+		for _, k := range []chaos.Kind{
+			chaos.DropRequest, chaos.Latency, chaos.DropResponse,
+			chaos.TruncateResponse, chaos.MangleResponse,
+			chaos.Reject, chaos.ServerLatency, chaos.Stall, chaos.Corrupt,
+		} {
+			if n := inj.Count(k); n > 0 {
+				fmt.Fprintf(w, "  %-18s %d\n", k.String()+":", n)
+			}
 		}
-		res.decided[d] = info.Stats.Decisions
-		res.replays += info.Stats.Replays
-		res.degraded += info.Stats.Degraded
 	}
-	res.stats = c.Stats()
-	// Snapshot before the deferred server teardown: the journal lives
-	// in the registry shards, which die with the server.
-	res.journal = srv.Registry().Decisions("", 0)
-	return res, nil
-}
+	fmt.Fprintf(w, "client retries:    %d\n", res.Client.Retries)
+	fmt.Fprintf(w, "breaker rejects:   %d\n", res.Client.BreakerRejects)
+	fmt.Fprintf(w, "degraded retried:  %d\n", res.Client.DegradedRetries)
+	fmt.Fprintf(w, "redirects:         %d\n", res.Client.Redirects)
+	fmt.Fprintf(w, "server replays:    %d\n", res.Replays)
+	fmt.Fprintf(w, "server degraded:   %d\n", res.Degraded)
+	fmt.Fprintf(w, "journal entries:   %d\n", len(res.Journal))
+	for _, v := range res.Violations {
+		fmt.Fprintf(w, "INVARIANT VIOLATED: %s\n", v)
+	}
 
-// canonical renders a decision for byte-level comparison across runs.
-func canonical(d *fleet.DecisionJSON) string {
-	b, err := json.Marshal(d)
-	if err != nil {
-		return "marshal: " + err.Error()
+	if jout != "" || len(res.Violations) > 0 {
+		if jout == "" {
+			jout = "clrchaos-journal.json"
+		}
+		if err := fleettest.WriteArtifact(jout, res.Journal); err != nil {
+			fmt.Fprintf(w, "journal dump failed: %v\n", err)
+		} else {
+			fmt.Fprintf(w, "decision journal written to %s\n", jout)
+		}
 	}
-	return string(b)
+	if len(res.Violations) > 0 {
+		fmt.Fprintf(w, "\nFAIL: %d invariant violations\n", len(res.Violations))
+		return false, nil
+	}
+	fmt.Fprintf(w, "\nOK: %d decisions byte-identical to the fault-free reference, no device lost, each explained exactly once in the journal\n",
+		cfg.Devices*cfg.Events)
+	return true, nil
 }
 
 func fatal(err error) {

@@ -45,6 +45,7 @@ var scopePackages = map[string]bool{
 	"fleet":     true,
 	"client":    true,
 	"fleettest": true,
+	"soak":      true,
 	"clrdse":    true,
 	"clrserved": true,
 	"clrload":   true,

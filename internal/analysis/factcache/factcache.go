@@ -79,9 +79,6 @@ func Open(dir string) (*Cache, error) {
 	return &Cache{dir: dir}, nil
 }
 
-// Dir returns the cache directory.
-func (c *Cache) Dir() string { return c.dir }
-
 func (c *Cache) path(key string) string { return filepath.Join(c.dir, key+".json") }
 
 // Get loads the entry for key; ok is false on miss or corruption.

@@ -1,57 +1,26 @@
 package chaos_test
 
 // The chaos soak: the same fleet of devices replays the same QoS event
-// scripts twice — once fault-free, once under the full fault schedule
-// (transport drops, corrupted bodies, server rejections, stalled and
-// corrupted decision paths) — and the resilience invariants must hold:
-//
-//  1. no device state is lost: every device is still registered and
-//     its manager processed exactly its events,
-//  2. every QoS event is eventually answered with a real decision,
-//  3. the accepted decisions are byte-identical to the fault-free run
-//     (retries mask faults; they never change outcomes),
-//  4. the decision journal is complete: every (device, seq) decided
-//     appears exactly once as a non-degraded entry, under a valid
-//     trace ID — at-least-once delivery, exactly-once explanation.
-//
-// On failure the journal is dumped as JSON to the path named by the
-// OBS_JOURNAL_ARTIFACT environment variable (CI uploads it).
+// scripts twice, once fault-free and once under the full fault
+// schedule (transport drops, corrupted bodies, server rejections,
+// stalled and corrupted decision paths), and soak.Run's
+// invariants must hold: every event answered byte-identical to the
+// fault-free run, every device whole on its server, and every decision
+// explained exactly once in the journal under a valid trace ID
+// (at-least-once delivery, exactly-once explanation). On failure the
+// journal is written to SOAK_ARTIFACT_DIR as chaos-journal.json.
 //
 // Everything is seeded: the event scripts, the client's retry jitter
 // and the fault schedule, so a failure reproduces exactly.
 
 import (
-	"context"
-	"encoding/json"
-	"fmt"
-	"io"
-	"log/slog"
-	"net/http"
-	"net/http/httptest"
-	"os"
-	"sync"
 	"testing"
 	"time"
 
 	"clrdse/internal/chaos"
-	"clrdse/internal/fleet"
-	"clrdse/internal/fleet/client"
 	"clrdse/internal/fleet/fleettest"
-	"clrdse/internal/obs"
-	"clrdse/internal/rng"
-	"clrdse/internal/runtime"
+	"clrdse/internal/fleet/fleettest/soak"
 )
-
-type soakSize struct {
-	devices, events int
-}
-
-func soakDims(t *testing.T) soakSize {
-	if testing.Short() {
-		return soakSize{devices: 4, events: 12}
-	}
-	return soakSize{devices: 8, events: 30}
-}
 
 const (
 	soakSpecSeed  = 7
@@ -60,194 +29,11 @@ const (
 	soakRounds    = 64
 )
 
-// soakPass drives every device through its script against a fresh
-// server, injecting faults when inj is non-nil, and returns the
-// accepted decisions, the per-device server-side stats and the
-// server's decision-journal snapshot.
-func soakPass(t *testing.T, dims soakSize, inj *chaos.Injector) ([][]string, []*fleet.DeviceInfo, []obs.Entry) {
-	t.Helper()
-	cfg := fleet.ServerConfig{
-		Databases:     fleettest.Databases(t),
-		DecideTimeout: soakDecideTO,
-		Logger:        slog.New(slog.NewTextHandler(io.Discard, nil)),
-	}
-	if inj != nil {
-		cfg.DecideHook = inj.DecideHook()
-	}
-	srv, err := fleet.NewServer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	handler := srv.Handler()
-	if inj != nil {
-		handler = inj.Middleware(handler)
-	}
-	ts := httptest.NewServer(handler)
-	defer ts.Close()
-
-	var rt http.RoundTripper = ts.Client().Transport
-	if inj != nil {
-		rt = &chaos.Transport{Injector: inj, Base: rt}
-	}
-	c := client.New(client.Config{
-		BaseURL:        ts.URL,
-		Transport:      rt,
-		MaxAttempts:    6,
-		AttemptTimeout: 2 * time.Second,
-		JitterSeed:     soakSpecSeed,
-		RetryDegraded:  true,
-		// The soak injects 503s on purpose; an eager breaker would only
-		// add rejection noise between retries.
-		BreakerThreshold: 1 << 20,
-	})
-	ctx := context.Background()
-
-	dbs := cfg.Databases
-	db := dbs[0]
-	boot := fleettest.LooseSpec(db.DB)
-	for d := 0; d < dims.devices; d++ {
-		_, err := c.Register(ctx, fleet.RegisterRequest{
-			ID:       fmt.Sprintf("soak-%d", d),
-			Database: db.Name,
-			PRC:      0.5,
-			Trigger:  "on-violation",
-			Initial:  fleet.QoSSpecJSON{SMaxMs: boot.SMaxMs, FMin: boot.FMin},
-		})
-		if err != nil {
-			t.Fatalf("register soak-%d: %v", d, err)
-		}
-	}
-
-	// Per-device deterministic scripts, derived before the workers
-	// start so they are a pure function of the seed.
-	root := rng.New(soakSpecSeed)
-	scripts := make([][]runtime.QoSSpec, dims.devices)
-	for d := range scripts {
-		src := root.Split(int64(d))
-		model := runtime.ModelFromDatabase(db.DB)
-		stream := model.Stream()
-		scripts[d] = make([]runtime.QoSSpec, dims.events)
-		for i := range scripts[d] {
-			scripts[d][i] = stream.Next(src)
-		}
-	}
-
-	decisions := make([][]string, dims.devices)
-	errs := make([]error, dims.devices)
-	var wg sync.WaitGroup
-	for d := 0; d < dims.devices; d++ {
-		decisions[d] = make([]string, dims.events)
-		wg.Add(1)
-		go func(d int) {
-			defer wg.Done()
-			id := fmt.Sprintf("soak-%d", d)
-			for i, spec := range scripts[d] {
-				wire := fleet.QoSSpecJSON{SMaxMs: spec.SMaxMs, FMin: spec.FMin}
-				var dec *fleet.DecisionJSON
-				var err error
-				// Re-submit with the same sequence number until a real
-				// decision lands; the server decides each seq at most
-				// once, so this is at-least-once delivery with
-				// exactly-once decisions.
-				for round := 0; round < soakRounds; round++ {
-					dec, err = c.QoS(ctx, id, uint64(i+1), wire)
-					if err == nil {
-						break
-					}
-				}
-				if err != nil {
-					errs[d] = fmt.Errorf("%s event %d: %w", id, i+1, err)
-					return
-				}
-				b, merr := json.Marshal(dec)
-				if merr != nil {
-					errs[d] = merr
-					return
-				}
-				decisions[d][i] = string(b)
-			}
-		}(d)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	infos := make([]*fleet.DeviceInfo, dims.devices)
-	for d := range infos {
-		info, err := srv.Registry().Get(fmt.Sprintf("soak-%d", d))
-		if err != nil {
-			t.Fatalf("device soak-%d lost: %v", d, err)
-		}
-		infos[d] = info
-	}
-	return decisions, infos, srv.Registry().Decisions("", 0)
-}
-
-// checkJournal asserts soak invariant 4 over one pass's journal.
-// wantDegraded bounds the degraded entries: the fault-free pass must
-// have none.
-func checkJournal(t *testing.T, name string, dims soakSize, entries []obs.Entry, wantDegraded bool) {
-	t.Helper()
-	type key struct {
-		dev string
-		seq uint64
-	}
-	decided := make(map[key]int)
-	degraded := 0
-	for _, e := range entries {
-		if !e.TraceID.IsValid() {
-			t.Errorf("%s: journal entry %s/%d carries invalid trace ID %q",
-				name, e.Device, e.Seq, e.TraceID)
-		}
-		if e.Degraded {
-			degraded++
-			continue
-		}
-		decided[key{e.Device, e.Seq}]++
-	}
-	for d := 0; d < dims.devices; d++ {
-		id := fmt.Sprintf("soak-%d", d)
-		for i := 1; i <= dims.events; i++ {
-			if n := decided[key{id, uint64(i)}]; n != 1 {
-				t.Errorf("%s: decision %s seq %d journaled %d times, want exactly once", name, id, i, n)
-			}
-		}
-	}
-	if extra := len(decided) - dims.devices*dims.events; extra > 0 {
-		t.Errorf("%s: journal holds %d decisions beyond the script", name, extra)
-	}
-	if !wantDegraded && degraded > 0 {
-		t.Errorf("%s: fault-free journal holds %d degraded entries", name, degraded)
-	}
-}
-
-// dumpJournal writes the journal to OBS_JOURNAL_ARTIFACT (when set)
-// so CI can attach it to a failing run.
-func dumpJournal(t *testing.T, entries []obs.Entry) {
-	path := os.Getenv("OBS_JOURNAL_ARTIFACT")
-	if path == "" {
-		return
-	}
-	b, err := json.MarshalIndent(entries, "", "  ")
-	if err != nil {
-		t.Errorf("marshalling journal artifact: %v", err)
-		return
-	}
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		t.Errorf("writing journal artifact: %v", err)
-		return
-	}
-	t.Logf("decision journal (%d entries) written to %s", len(entries), path)
-}
-
 func TestChaosSoak(t *testing.T) {
-	dims := soakDims(t)
-
-	ref, _, refJournal := soakPass(t, dims, nil)
-
+	devices, events := 8, 30
+	if testing.Short() {
+		devices, events = 4, 12
+	}
 	inj := chaos.New(chaos.Config{
 		Seed:              soakChaosSeed,
 		PDropRequest:      0.05,
@@ -264,50 +50,28 @@ func TestChaosSoak(t *testing.T) {
 		StallMin:          2 * soakDecideTO,
 		StallMax:          3 * soakDecideTO,
 	})
-	cha, infos, chaJournal := soakPass(t, dims, inj)
-
-	if inj.Injected() == 0 {
-		t.Fatal("chaos pass injected no faults; the soak tested nothing")
+	res, err := soak.Run(soak.Config{
+		Databases:      fleettest.Databases(t),
+		Devices:        devices,
+		Events:         events,
+		SpecSeed:       soakSpecSeed,
+		Faults:         inj,
+		Rounds:         soakRounds,
+		Attempts:       6,
+		AttemptTimeout: 2 * time.Second,
+		DecideTimeout:  soakDecideTO,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// Invariant 1: no lost device state — each device's manager
-	// processed exactly its events, every sequence number once.
-	var replays, degraded int64
-	for d, info := range infos {
-		if info.Stats.Decisions != int64(dims.events) {
-			t.Errorf("device %d decided %d events, want %d",
-				d, info.Stats.Decisions, dims.events)
-		}
-		replays += info.Stats.Replays
-		degraded += info.Stats.Degraded
+	for _, v := range res.Violations {
+		t.Error(v)
 	}
-
-	// Invariants 2 and 3: every event answered, byte-identical to the
-	// fault-free reference.
-	for d := 0; d < dims.devices; d++ {
-		for i := 0; i < dims.events; i++ {
-			if cha[d][i] == "" {
-				t.Errorf("device %d event %d never answered", d, i+1)
-				continue
-			}
-			if ref[d][i] != cha[d][i] {
-				t.Errorf("device %d event %d diverged under chaos:\nref:   %s\nchaos: %s",
-					d, i+1, ref[d][i], cha[d][i])
-			}
-		}
-	}
-
-	// Invariant 4: both journals are complete — and under chaos, the
-	// journal explains every decision exactly once even though the
-	// wire saw retries, replays and degraded answers.
-	checkJournal(t, "fault-free", dims, refJournal, false)
-	checkJournal(t, "chaos", dims, chaJournal, true)
 	if t.Failed() {
-		dumpJournal(t, chaJournal)
+		fleettest.SaveArtifact(t, "chaos-journal.json", res.Journal)
 	}
-
 	t.Logf("faults=%d replays=%d degraded=%d journal=%d",
-		inj.Injected(), replays, degraded, len(chaJournal))
+		inj.Injected(), res.Replays, res.Degraded, len(res.Journal))
 }
 
 // TestChaosSoakReproducible: the fault schedule itself is seeded — two

@@ -219,9 +219,6 @@ func New(cfg Config, srv *fleet.Server) (*Node, error) {
 	return n, nil
 }
 
-// Self returns this node's ID.
-func (n *Node) Self() string { return n.self }
-
 // aliveMembersLocked lists the alive member IDs; n.mu must be held.
 func (n *Node) aliveMembersLocked() []string {
 	out := make([]string, 0, len(n.alive))

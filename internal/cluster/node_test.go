@@ -103,11 +103,8 @@ func TestClusterAdminEndpoints(t *testing.T) {
 	}
 	defer clus.Close()
 
-	if self := clus.Nodes[0].Node.Self(); self != "node-0" {
-		t.Fatalf("Self() = %q, want node-0", self)
-	}
-	if vn := clus.Nodes[0].Node.Ring().VNodes(); vn != cluster.DefaultVNodes {
-		t.Fatalf("ring VNodes = %d, want default %d", vn, cluster.DefaultVNodes)
+	if info := clus.Nodes[0].Node.RingInfo(); info.Self != "node-0" || info.VNodes != cluster.DefaultVNodes {
+		t.Fatalf("ring info self %q vnodes %d, want node-0 and default %d", info.Self, info.VNodes, cluster.DefaultVNodes)
 	}
 
 	resp, err := http.Get(clus.URLs()[0] + "/v1/cluster/ring")

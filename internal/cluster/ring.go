@@ -90,9 +90,6 @@ func hash32(s string) uint32 {
 // Members returns the ring's members, sorted.
 func (r *Ring) Members() []string { return append([]string(nil), r.members...) }
 
-// VNodes returns the virtual-node count per member.
-func (r *Ring) VNodes() int { return r.vnodes }
-
 // Owner returns the member owning the key: the first virtual node
 // clockwise from the key's hash.
 func (r *Ring) Owner(key string) string {

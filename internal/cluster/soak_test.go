@@ -1,32 +1,28 @@
 package cluster_test
 
-// Multi-node soak: a 3-node in-process cluster serving a device fleet
+// Multi-node soak: a 3-node in-process cluster serves a device fleet
 // through the ring-aware client while a seeded schedule kills and
-// restarts nodes between event rounds. The run is deterministic —
-// lockstep rounds with barriers, membership changes only at barriers,
-// scripted specs — so three hard invariants are asserted exactly:
-//
-//  1. no device is lost: every device answers every event and ends
-//     registered on exactly one node;
-//  2. no sequence is answered twice: the union of every node's
-//     decision journal holds, after deduplicating the identical
-//     copies migration makes, exactly one decision per (device, seq);
-//  3. decisions are byte-identical to a single-node reference run of
-//     the same scripts — failover is invisible in the answers.
+// restarts nodes between lockstep event rounds. Membership changes
+// only at round barriers and the specs are scripted, so
+// soak.Run's invariants are asserted exactly: no device lost
+// (each ends on exactly one live node with its full history), no
+// sequence answered twice (the union journal, after deduplicating the
+// identical copies migration makes, holds one decision per (device,
+// seq)), no degraded answer during graceful failover, and every
+// decision byte-identical to a single-node reference run. On failure
+// the union journal is written to SOAK_ARTIFACT_DIR as
+// cluster-journal.json.
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
 	"clrdse/internal/fleet"
 	"clrdse/internal/fleet/client"
 	"clrdse/internal/fleet/fleettest"
-	"clrdse/internal/rng"
-	"clrdse/internal/runtime"
+	"clrdse/internal/fleet/fleettest/soak"
 )
 
 const (
@@ -34,245 +30,32 @@ const (
 	clusterSoakTraceSeed = 21
 )
 
-func soakDims(t *testing.T) (devices, rounds int) {
-	t.Helper()
-	if testing.Short() {
-		return 4, 10
-	}
-	return 6, 24
-}
-
-// soakEvent is one membership change scheduled before a round.
-type soakEvent struct {
-	round   int
-	node    int
-	restart bool
-}
-
-// soakSchedule derives the kill/restart plan from the seed: two
-// disruptions, each a kill followed by a restart a few rounds later,
-// never touching node 0 in the first disruption's draw space twice in
-// a row. Pure function of (seed, rounds, nodes).
-func soakSchedule(seed int64, rounds, nodes int) []soakEvent {
-	src := rng.New(seed)
-	k1 := 1 + src.Intn(nodes-1) // never node 0: the client's first ring fetch target stays up early
-	r1 := 1 + src.Intn(rounds/4)
-	r1back := r1 + 2 + src.Intn(rounds/4)
-	k2 := 1 + src.Intn(nodes-1)
-	r2 := r1back + 1 + src.Intn(rounds/4)
-	r2back := r2 + 1 + src.Intn(rounds-r2-1)
-	return []soakEvent{
-		{round: r1, node: k1},
-		{round: r1back, node: k1, restart: true},
-		{round: r2, node: k2},
-		{round: r2back, node: k2, restart: true},
-	}
-}
-
-// runSoakPass drives every device through its script against the
-// cluster in lockstep rounds, applying membership events at the
-// barriers, and returns the canonical per-device decision transcripts.
-func runSoakPass(t *testing.T, clus *fleettest.Cluster, c *client.Client, scripts [][]runtime.QoSSpec, events []soakEvent) [][]string {
-	t.Helper()
-	ctx := context.Background()
-	devices, rounds := len(scripts), len(scripts[0])
-	out := make([][]string, devices)
-	for d := range out {
-		out[d] = make([]string, rounds)
-	}
-	for r := 0; r < rounds; r++ {
-		for _, ev := range events {
-			if ev.round != r {
-				continue
-			}
-			if ev.restart {
-				if err := clus.Restart(ctx, ev.node); err != nil {
-					t.Fatalf("round %d: restart node %d: %v", r, ev.node, err)
-				}
-			} else {
-				if err := clus.Kill(ctx, ev.node); err != nil {
-					t.Fatalf("round %d: kill node %d: %v", r, ev.node, err)
-				}
-			}
-		}
-		var wg sync.WaitGroup
-		errs := make([]error, devices)
-		for d := 0; d < devices; d++ {
-			wg.Add(1)
-			go func(d int) {
-				defer wg.Done()
-				spec := scripts[d][r]
-				dec, err := c.QoS(ctx, soakDeviceID(d), uint64(r+1),
-					fleet.QoSSpecJSON{SMaxMs: spec.SMaxMs, FMin: spec.FMin})
-				if err != nil {
-					errs[d] = fmt.Errorf("device %d round %d: %w", d, r, err)
-					return
-				}
-				if dec.Degraded {
-					errs[d] = fmt.Errorf("device %d round %d: degraded answer during graceful failover", d, r)
-					return
-				}
-				b, err := json.Marshal(dec)
-				if err != nil {
-					errs[d] = err
-					return
-				}
-				out[d][r] = string(b)
-			}(d)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	return out
-}
-
-func soakDeviceID(d int) string { return fmt.Sprintf("soak-%d", d) }
-
-func registerSoakFleet(t *testing.T, c *client.Client, dbs []fleet.NamedDatabase, devices int) {
-	t.Helper()
-	ctx := context.Background()
-	boot := fleettest.LooseSpec(dbs[0].DB)
-	for d := 0; d < devices; d++ {
-		_, err := c.Register(ctx, fleet.RegisterRequest{
-			ID:       soakDeviceID(d),
-			Database: dbs[0].Name,
-			PRC:      0.5,
-			Gamma:    0.9, // agent state in play: replay must rebuild it
-			Trigger:  "on-violation",
-			Initial:  fleet.QoSSpecJSON{SMaxMs: boot.SMaxMs, FMin: boot.FMin},
-		})
-		if err != nil {
-			t.Fatalf("register %s: %v", soakDeviceID(d), err)
-		}
-	}
-}
-
-func soakClient(urls []string) *client.Client {
-	return client.New(client.Config{
-		Targets:        urls,
-		MaxAttempts:    6,
-		AttemptTimeout: 5 * time.Second,
-		JitterSeed:     clusterSoakSeed,
-		// Kills are deliberate; an eager breaker would only delay the
-		// re-resolution path under test.
-		BreakerThreshold: 1 << 20,
-	})
-}
-
 func TestClusterSoak(t *testing.T) {
-	devices, rounds := soakDims(t)
-	dbs := fleettest.Databases(t)
-
-	// Scripts are derived before anything runs: both passes see the
-	// identical event streams.
-	scripts := make([][]runtime.QoSSpec, devices)
-	for d := range scripts {
-		scripts[d] = fleettest.Script(dbs[0].DB, clusterSoakSeed+int64(d), rounds)
+	devices, rounds := 6, 24
+	if testing.Short() {
+		devices, rounds = 4, 10
 	}
-
-	// Reference pass: one node, no membership events.
-	ref, err := fleettest.NewCluster(fleettest.ClusterOptions{
-		Nodes: 1, Databases: dbs, TraceSeed: clusterSoakTraceSeed,
+	res, err := soak.Run(soak.Config{
+		Databases:      fleettest.Databases(t),
+		Devices:        devices,
+		Events:         rounds,
+		SpecSeed:       clusterSoakSeed,
+		Gamma:          0.9, // agent state in play: handoff must carry it
+		Nodes:          3,
+		KillSeed:       clusterSoakSeed,
+		Attempts:       6,
+		AttemptTimeout: 5 * time.Second,
+		TraceSeed:      clusterSoakTraceSeed,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ref.Close()
-	refClient := soakClient(ref.URLs())
-	registerSoakFleet(t, refClient, dbs, devices)
-	want := runSoakPass(t, ref, refClient, scripts, nil)
-
-	// Cluster pass: three nodes, seeded kill/restart mid-schedule.
-	clus, err := fleettest.NewCluster(fleettest.ClusterOptions{
-		Nodes: 3, Databases: dbs, TraceSeed: clusterSoakTraceSeed,
-	})
-	if err != nil {
-		t.Fatal(err)
+	t.Logf("membership schedule: %+v", res.Schedule)
+	for _, v := range res.Violations {
+		t.Error(v)
 	}
-	defer clus.Close()
-	c := soakClient(clus.URLs())
-	if err := c.RefreshRing(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	registerSoakFleet(t, c, dbs, devices)
-	events := soakSchedule(clusterSoakSeed, rounds, 3)
-	t.Logf("membership schedule: %+v", events)
-	got := runSoakPass(t, clus, c, scripts, events)
-
-	// Invariant 3: byte-identical to the single-node reference.
-	for d := 0; d < devices; d++ {
-		for r := 0; r < rounds; r++ {
-			if got[d][r] != want[d][r] {
-				t.Errorf("device %d round %d: cluster answer diverged\n cluster: %s\n  single: %s",
-					d, r, got[d][r], want[d][r])
-			}
-		}
-	}
-
-	// Invariant 1: no device lost. Every device is registered on
-	// exactly one live node with its full decision history.
-	total := 0
-	owners := make(map[string]int)
-	for i, cn := range clus.Nodes {
-		if !clus.Alive(i) {
-			continue
-		}
-		reg := cn.Srv.Registry()
-		total += reg.Len()
-		for d := 0; d < devices; d++ {
-			if info, err := reg.Get(soakDeviceID(d)); err == nil {
-				owners[soakDeviceID(d)]++
-				if info.Stats.Decisions != int64(rounds) {
-					t.Errorf("device %d on %s: %d decisions, want %d", d, cn.ID, info.Stats.Decisions, rounds)
-				}
-			}
-		}
-	}
-	if total != devices {
-		t.Errorf("cluster holds %d devices, want %d", total, devices)
-	}
-	for d := 0; d < devices; d++ {
-		if owners[soakDeviceID(d)] != 1 {
-			t.Errorf("device %d registered on %d nodes, want exactly 1", d, owners[soakDeviceID(d)])
-		}
-	}
-
-	// Invariant 2: no sequence answered twice. Migration copies
-	// journal entries verbatim, so identical duplicates are expected;
-	// after deduplicating them, each (device, seq) must have decided
-	// exactly once.
-	type key struct {
-		device string
-		seq    uint64
-	}
-	unique := make(map[string]bool)
-	perSeq := make(map[key]int)
-	for _, je := range clus.Journal() {
-		if je.Entry.Degraded {
-			t.Errorf("degraded journal entry on %s: %+v", je.Node, je.Entry)
-			continue
-		}
-		b, err := json.Marshal(je.Entry)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if unique[string(b)] {
-			continue // identical copy carried by a migration
-		}
-		unique[string(b)] = true
-		perSeq[key{je.Entry.Device, je.Entry.Seq}]++
-	}
-	for d := 0; d < devices; d++ {
-		for r := 0; r < rounds; r++ {
-			k := key{soakDeviceID(d), uint64(r + 1)}
-			if perSeq[k] != 1 {
-				t.Errorf("(device %s, seq %d): %d distinct decisions, want exactly 1", k.device, k.seq, perSeq[k])
-			}
-		}
+	if t.Failed() {
+		fleettest.SaveArtifact(t, "cluster-journal.json", res.Journal)
 	}
 }
 
@@ -292,13 +75,31 @@ func TestClusterRedirectMode(t *testing.T) {
 
 	// No RefreshRing: every call starts at target 0 and must be
 	// taught ownership by redirects.
-	c := soakClient(clus.URLs())
-	registerSoakFleet(t, c, dbs, 4)
+	c := client.New(client.Config{
+		Targets:          clus.URLs(),
+		MaxAttempts:      6,
+		AttemptTimeout:   5 * time.Second,
+		JitterSeed:       clusterSoakSeed,
+		BreakerThreshold: 1 << 20,
+	})
 	ctx := context.Background()
+	boot := fleettest.LooseSpec(dbs[0].DB)
 	script := fleettest.Script(dbs[0].DB, 5, 6)
 	for d := 0; d < 4; d++ {
+		id := fmt.Sprintf("soak-%d", d)
+		_, err := c.Register(ctx, fleet.RegisterRequest{
+			ID:       id,
+			Database: dbs[0].Name,
+			PRC:      0.5,
+			Gamma:    0.9,
+			Trigger:  "on-violation",
+			Initial:  fleet.QoSSpecJSON{SMaxMs: boot.SMaxMs, FMin: boot.FMin},
+		})
+		if err != nil {
+			t.Fatalf("register %s: %v", id, err)
+		}
 		for i, spec := range script {
-			dec, err := c.QoS(ctx, soakDeviceID(d), uint64(i+1),
+			dec, err := c.QoS(ctx, id, uint64(i+1),
 				fleet.QoSSpecJSON{SMaxMs: spec.SMaxMs, FMin: spec.FMin})
 			if err != nil {
 				t.Fatalf("device %d event %d: %v", d, i, err)

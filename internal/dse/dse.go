@@ -146,17 +146,6 @@ type Database struct {
 // Len returns the number of stored points.
 func (db *Database) Len() int { return len(db.Points) }
 
-// ParetoPoints returns the points not contributed by the ReD stage.
-func (db *Database) ParetoPoints() []*DesignPoint {
-	var ps []*DesignPoint
-	for _, p := range db.Points {
-		if !p.FromReD {
-			ps = append(ps, p)
-		}
-	}
-	return ps
-}
-
 // ReDPoints returns the additional points contributed by the ReD
 // stage.
 func (db *Database) ReDPoints() []*DesignPoint {

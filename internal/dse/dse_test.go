@@ -161,8 +161,8 @@ func TestRunReDAddsCheaperPoints(t *testing.T) {
 		}
 	}
 	extra := red.ReDPoints()
-	if len(extra)+len(red.ParetoPoints()) != red.Len() {
-		t.Error("ReD/Pareto partition inconsistent")
+	if len(extra) != red.Len()-base.Len() {
+		t.Errorf("ReD flagged %d extra points, want %d", len(extra), red.Len()-base.Len())
 	}
 	baseMaps := base.Mappings()
 	for _, ep := range extra {
@@ -278,7 +278,7 @@ func TestDatabaseAccessors(t *testing.T) {
 		{ID: 0, M: &mapping.Mapping{}},
 		{ID: 1, M: &mapping.Mapping{}, FromReD: true},
 	}}
-	if db.Len() != 2 || len(db.ParetoPoints()) != 1 || len(db.ReDPoints()) != 1 {
+	if db.Len() != 2 || len(db.ReDPoints()) != 1 {
 		t.Error("accessor counts wrong")
 	}
 	if len(db.Mappings()) != 2 {

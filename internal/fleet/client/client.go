@@ -231,13 +231,8 @@ func (c *Client) Stats() Stats {
 
 // Breaker exposes an endpoint's breaker ("register", "qos", "batch",
 // "device", "databases", "deregister") at the default target. Cluster
-// mode keys breakers per node; use BreakerAt for a specific one.
+// mode keys breakers per node.
 func (c *Client) Breaker(endpoint string) *Breaker { return c.breakerFor(endpoint, c.base) }
-
-// BreakerAt exposes the breaker for an endpoint at one node's base URL.
-func (c *Client) BreakerAt(endpoint, baseURL string) *Breaker {
-	return c.breakerFor(endpoint, strings.TrimRight(baseURL, "/"))
-}
 
 // breakerFor returns (creating on first use) the breaker guarding one
 // endpoint at one node.

@@ -231,7 +231,7 @@ func TestCohortPriorInheritanceAndJournalStamp(t *testing.T) {
 }
 
 func TestGammaZeroCohortPriorPreservesURAFleet(t *testing.T) {
-	// The fleet-level γ=0 identity the cohort-soak gate pins: a fleet
+	// The fleet-level γ=0 identity TestABIdentityArm pins: a fleet
 	// of AuRA(γ=0) devices seeded from a published cohort table must
 	// decide byte-identically to a plain uRA fleet on the same script.
 	f := getFixture(t)

@@ -14,14 +14,15 @@ package fleet
 //     (shadow window included) equals the decision a frozen-database
 //     reference run makes on the same seeds.
 //
-// When the EVOLVE_JOURNAL_ARTIFACT / EVOLVE_DIFF_ARTIFACT environment
-// variables are set, the decision journal and the evolve status diff
-// are dumped as JSON for CI to upload.
+// When the SOAK_ARTIFACT_DIR environment variable is set, the decision
+// journal and the evolve status diff are written there as JSON
+// (evolve-journal.json, evolve-diff.json) for CI to upload.
 
 import (
 	"context"
 	"encoding/json"
 	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -220,31 +221,25 @@ func deviceID(d int) string {
 }
 
 // dumpEvolveArtifacts writes the decision journal and the evolve diff
-// to the paths named by EVOLVE_JOURNAL_ARTIFACT / EVOLVE_DIFF_ARTIFACT
-// (when set) so CI can attach them to the run.
+// into SOAK_ARTIFACT_DIR (when set) so CI can attach them to the run.
+// The fleet package cannot import fleettest, whose SaveArtifact the
+// other soaks share.
 func dumpEvolveArtifacts(t *testing.T, reg *Registry, shadow EvolveStatus) {
-	if path := os.Getenv("EVOLVE_JOURNAL_ARTIFACT"); path != "" {
-		b, err := json.MarshalIndent(reg.Decisions("", 0), "", "  ")
-		if err != nil {
-			t.Errorf("marshalling journal artifact: %v", err)
-		} else if err := os.WriteFile(path, b, 0o644); err != nil {
-			t.Errorf("writing journal artifact: %v", err)
-		} else {
-			t.Logf("decision journal written to %s", path)
-		}
+	dir := os.Getenv("SOAK_ARTIFACT_DIR")
+	if dir == "" {
+		return
 	}
-	if path := os.Getenv("EVOLVE_DIFF_ARTIFACT"); path != "" {
-		diff := struct {
-			ShadowWindow EvolveStatus   `json:"shadow_window"`
-			Final        []EvolveStatus `json:"final"`
-		}{ShadowWindow: shadow, Final: reg.EvolveStatuses()}
-		b, err := json.MarshalIndent(diff, "", "  ")
+	diff := struct {
+		ShadowWindow EvolveStatus   `json:"shadow_window"`
+		Final        []EvolveStatus `json:"final"`
+	}{ShadowWindow: shadow, Final: reg.EvolveStatuses()}
+	for name, v := range map[string]any{"evolve-journal.json": reg.Decisions("", 0), "evolve-diff.json": diff} {
+		b, err := json.MarshalIndent(v, "", "  ")
+		if err == nil {
+			err = os.WriteFile(filepath.Join(dir, name), b, 0o644)
+		}
 		if err != nil {
-			t.Errorf("marshalling evolve diff artifact: %v", err)
-		} else if err := os.WriteFile(path, b, 0o644); err != nil {
-			t.Errorf("writing evolve diff artifact: %v", err)
-		} else {
-			t.Logf("evolve diff written to %s", path)
+			t.Errorf("writing %s: %v", name, err)
 		}
 	}
 }

@@ -16,8 +16,8 @@ package fleettest
 // Everything is derived from ABParams.Seed: the warm fleet's scripts,
 // the cold devices' scripts, and the interleaving (event-major over
 // devices in ID order) are all fixed, so two runs with equal params
-// produce byte-identical per-arm decision streams — the property the
-// cohort-soak CI gate replays and diffs.
+// produce byte-identical per-arm decision streams — the property
+// TestABReplayable pins.
 
 import (
 	"fmt"
@@ -31,20 +31,14 @@ import (
 	"clrdse/internal/runtime"
 )
 
-// TightSpec returns a specification only the database's fastest stored
-// point(s) satisfy — the opposite pole of LooseSpec. Alternating the
-// two is the regime where value knowledge pays: under the loose spec
+// tightBand returns a specification only the database's fastest
+// stored point(s) satisfy — the opposite pole of LooseSpec — plus the
+// makespan headroom to the second-fastest stored point: jitter inside
+// half that band never changes the feasible set. Alternating the two
+// specs is the regime where value knowledge pays: under the loose spec
 // the energy-minimal point looks attractive, but every tight event
 // forces a reconfiguration back, and only a learned VD (the discounted
 // future-dRC estimate) exposes that churn to the scorer.
-func TightSpec(db *dse.Database) runtime.QoSSpec {
-	s, _ := tightBand(db)
-	return s
-}
-
-// tightBand returns the tight specification plus the makespan headroom
-// to the second-fastest stored point: jitter inside half that band
-// never changes the feasible set.
 func tightBand(db *dse.Database) (runtime.QoSSpec, float64) {
 	minS, second := math.Inf(1), math.Inf(1)
 	minF := math.Inf(1)
@@ -68,7 +62,7 @@ func tightBand(db *dse.Database) (runtime.QoSSpec, float64) {
 }
 
 // OscillatingScript precomputes a device's deterministic tight/loose
-// QoS event sequence: specs alternate between TightSpec and LooseSpec
+// QoS event sequence: specs alternate between the tight spec and LooseSpec
 // with a seeded phase and seeded jitter on the makespan bound that
 // never changes either spec's feasible set. Equal seeds yield
 // identical scripts.
@@ -166,7 +160,7 @@ type ABResult struct {
 	Arms   []ArmResult `json:"arms"`
 	// Tables holds the cohort value table each seeded arm published
 	// before registering its devices, keyed by arm name — the triage
-	// artifact the cohort-soak CI job uploads on failure.
+	// artifact a failing A/B test writes to SOAK_ARTIFACT_DIR.
 	Tables map[string]*runtime.ValueTable `json:"tables,omitempty"`
 }
 

@@ -1,36 +1,17 @@
 package fleettest
 
 import (
-	"encoding/json"
-	"os"
 	"testing"
 )
 
-// dumpABArtifacts writes the rendered A/B summary and the published
-// cohort value tables to the paths named by COHORT_AB_ARTIFACT /
-// COHORT_VTABLE_ARTIFACT (when set). The cohort-soak CI job sets both
-// and uploads them when the gate fails, so a broken identity or
-// cold-start assertion ships its evidence with the run.
-func dumpABArtifacts(t *testing.T, r *ABResult) {
-	if r == nil {
-		return
-	}
-	if path := os.Getenv("COHORT_AB_ARTIFACT"); path != "" {
-		if err := os.WriteFile(path, []byte(r.Render()), 0o644); err != nil {
-			t.Errorf("writing A/B summary artifact: %v", err)
-		} else {
-			t.Logf("A/B summary written to %s", path)
-		}
-	}
-	if path := os.Getenv("COHORT_VTABLE_ARTIFACT"); path != "" {
-		b, err := json.MarshalIndent(r.Tables, "", "  ")
-		if err != nil {
-			t.Errorf("marshalling value-table artifact: %v", err)
-		} else if err := os.WriteFile(path, b, 0o644); err != nil {
-			t.Errorf("writing value-table artifact: %v", err)
-		} else {
-			t.Logf("cohort value tables written to %s", path)
-		}
+// saveABArtifacts writes the rendered A/B summary and the published
+// cohort value tables to SOAK_ARTIFACT_DIR when the test failed, so a
+// broken identity or cold-start assertion ships its evidence with the
+// run.
+func saveABArtifacts(t *testing.T, r *ABResult) {
+	if t.Failed() {
+		SaveArtifact(t, "cohort-ab.txt", r.Render())
+		SaveArtifact(t, "cohort-vtables.json", r.Tables)
 	}
 }
 
@@ -77,13 +58,13 @@ func TestABReplayable(t *testing.T) {
 // TestABIdentityArm pins uRA ≡ AuRA(γ=0) fleet-wide: the aura0 arm
 // carries agents seeded from a published γ=0 cohort table, yet its
 // decision stream must be byte-identical to the agentless ura arm's.
-// This is the identity the cohort-soak CI gate replays under -race.
+// CI's race job replays this identity under -race.
 func TestABIdentityArm(t *testing.T) {
 	r, err := RunAB(ABParams{Devices: 3, Events: 30, WarmDevices: 4, WarmEvents: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer dumpABArtifacts(t, r)
+	defer saveABArtifacts(t, r)
 	ura, aura0 := r.Arm("ura"), r.Arm("aura0")
 	if ura == nil || aura0 == nil {
 		t.Fatal("harness lost an arm")
@@ -109,7 +90,7 @@ func TestABCohortColdStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer dumpABArtifacts(t, r)
+	defer saveABArtifacts(t, r)
 	aura, coh := r.Arm("aura"), r.Arm("cohort")
 	if aura == nil || coh == nil {
 		t.Fatal("harness lost an arm")

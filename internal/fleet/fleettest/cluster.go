@@ -7,7 +7,8 @@ package fleettest
 // answering, and the peers mark it dead; "Restart" brings a fresh
 // server up on the same address and the peers rebalance its devices
 // back. The harness returns errors rather than taking a testing.TB so
-// cmd/clrchaos can drive the same cluster outside `go test`.
+// the soak harness (package soak) can drive the same cluster for
+// cmd/clrchaos outside `go test`.
 
 import (
 	"context"
@@ -238,8 +239,8 @@ func (c *Cluster) Restart(ctx context.Context, i int) error {
 // JournalEntry is one decision-journal entry tagged with the node
 // hosting the copy.
 type JournalEntry struct {
-	Node  string
-	Entry obs.Entry
+	Node  string    `json:"node"`
+	Entry obs.Entry `json:"entry"`
 }
 
 // Journal unions every live node's decision-journal snapshot — the
@@ -259,16 +260,16 @@ func (c *Cluster) Journal() []JournalEntry {
 	return out
 }
 
-// Close shuts every member down and releases the listeners.
+// Close shuts every member down and releases the listeners. It cuts
+// open connections rather than draining them: a graceful shutdown
+// waits up to 5s on any connection a client dialled but never used.
 func (c *Cluster) Close() {
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
 	for _, hs := range c.hss {
-		//lint:allow errdrop best-effort teardown; a hung shutdown is bounded by the context deadline
-		_ = hs.Shutdown(ctx)
+		//lint:allow errdrop best-effort teardown; the members hold nothing that must outlive it
+		_ = hs.Close()
 	}
 	for _, ln := range c.lns {
-		//lint:allow errdrop Shutdown above already closed the listener; this double-close is belt and braces
+		//lint:allow errdrop hs.Close above already closed the listener; this double-close is belt and braces
 		_ = ln.Close()
 	}
 }

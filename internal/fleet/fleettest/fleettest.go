@@ -1,11 +1,18 @@
-// Package fleettest provides shared fixtures for tests that exercise
-// the fleet decision service from outside the fleet package (the
-// resilient client, the chaos soak). It runs the design-time flow once
-// per process on a small synthetic application and hands out the
-// resulting databases, plus deterministic QoS event scripts.
+// Package fleettest provides shared fixtures and harnesses for code
+// that exercises the fleet decision service from outside the fleet
+// package: the design-time fixture (the flow run once per process on
+// a small synthetic application), deterministic QoS event scripts, an
+// in-process cluster, the cohort A/B harness and the artifact writer
+// the soaks share. The soak harness itself is the sub-package soak.
+// The harnesses are TB-free, so cmd/clrchaos and cmd/experiments run
+// them too; cmd/clrchaos builds its own database from its flags and
+// does not use the fixture.
 package fleettest
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -42,8 +49,8 @@ func get(tb testing.TB) fixture {
 }
 
 // build runs the design-time flow once per process. It is the
-// TB-free entry so non-test embedders (cmd/clrchaos cluster mode) can
-// share the fixture.
+// TB-free entry the harnesses share (RunAB, and NewCluster when no
+// databases are given); cmd/clrchaos builds its own database instead.
 func build() (fixture, error) {
 	once.Do(func() {
 		plat := platform.Default()
@@ -82,8 +89,7 @@ func Databases(tb testing.TB) []fleet.NamedDatabase {
 	return namedDBs(f)
 }
 
-// DatabasesE is Databases for embedders without a testing.TB (the
-// clrchaos cluster soak).
+// DatabasesE is Databases for callers without a testing.TB.
 func DatabasesE() ([]fleet.NamedDatabase, error) {
 	f, err := build()
 	if err != nil {
@@ -119,4 +125,35 @@ func LooseSpec(db *dse.Database) runtime.QoSSpec {
 	n := fleet.NamedDatabase{DB: db}
 	_, maxS, minF, _ := n.Envelope()
 	return runtime.QoSSpec{SMaxMs: maxS, FMin: minF}
+}
+
+// SaveArtifact writes v under name into the directory the
+// SOAK_ARTIFACT_DIR environment variable names, for CI to upload; a
+// string is written as is, anything else as indented JSON. With the
+// variable unset it writes nothing.
+func SaveArtifact(tb testing.TB, name string, v any) {
+	dir := os.Getenv("SOAK_ARTIFACT_DIR")
+	if dir == "" {
+		return
+	}
+	path := filepath.Join(dir, name)
+	if err := WriteArtifact(path, v); err != nil {
+		tb.Errorf("writing artifact: %v", err)
+		return
+	}
+	tb.Logf("artifact written to %s", path)
+}
+
+// WriteArtifact writes v to path: a string as is, anything else as
+// indented JSON.
+func WriteArtifact(path string, v any) error {
+	b, ok := v.(string)
+	if !ok {
+		j, err := json.MarshalIndent(v, "", "  ")
+		if err != nil {
+			return err
+		}
+		b = string(j)
+	}
+	return os.WriteFile(path, []byte(b), 0o644)
 }

@@ -231,33 +231,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-// Quantile estimates the q-quantile (q in [0,1]) from the bucket
-// counts by linear interpolation within the winning bucket. It is an
-// estimate bounded by the bucket resolution — good enough for p50/p95
-// reporting, not for exact latencies.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	cum := uint64(0)
-	lo := 0.0
-	for i, bound := range h.bounds {
-		n := h.counts[i].Load()
-		if float64(cum)+float64(n) >= rank {
-			if n == 0 {
-				return bound
-			}
-			frac := (rank - float64(cum)) / float64(n)
-			return lo + frac*(bound-lo)
-		}
-		cum += n
-		lo = bound
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
 func (h *Histogram) render(w io.Writer, name string) {
 	cum := uint64(0)
 	for i, bound := range h.bounds {

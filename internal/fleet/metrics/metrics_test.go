@@ -69,25 +69,6 @@ func TestHistogramBucketsCumulative(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantile(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("q", "Quantiles.", []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
-	for i := 1; i <= 100; i++ {
-		h.Observe(float64(i%10) + 0.5)
-	}
-	p50 := h.Quantile(0.50)
-	if p50 < 3 || p50 > 7 {
-		t.Errorf("p50 = %v, want near the middle of a uniform 0.5..9.5 stream", p50)
-	}
-	if got := h.Quantile(0); got < 0 || got > 1 {
-		t.Errorf("q0 = %v", got)
-	}
-	empty := r.Histogram("e", "Empty.", nil)
-	if empty.Quantile(0.99) != 0 {
-		t.Error("empty histogram quantile should be 0")
-	}
-}
-
 func TestDefaultLatencyBucketsSorted(t *testing.T) {
 	b := DefaultLatencyBuckets()
 	if !sort.Float64sAreSorted(b) {

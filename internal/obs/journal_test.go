@@ -114,8 +114,8 @@ func TestJournalConcurrent(t *testing.T) {
 }
 
 // TestJournalExactlyOnceUnderCap: as long as the ring never wraps,
-// every append is retained exactly once — the property the obs-gate
-// asserts over a soak run.
+// every append is retained exactly once — the property the soak
+// harness (soak.Run) asserts over a whole soak run.
 func TestJournalExactlyOnceUnderCap(t *testing.T) {
 	const writers, perWriter = 4, 100
 	j := NewJournal(writers * perWriter)

@@ -279,75 +279,6 @@ func Fitness(point, ref []float64) float64 {
 	return -v
 }
 
-// Archive maintains a bounded set of mutually non-dominated points.
-// Inserting a dominated point is a no-op; inserting a dominating point
-// evicts everything it dominates. When the archive exceeds its
-// capacity, the most crowded member is dropped (boundary points are
-// always kept). A capacity of 0 means unbounded.
-type Archive struct {
-	capacity int
-	objs     [][]float64
-	payload  []any
-}
-
-// NewArchive returns an empty archive with the given capacity
-// (0 = unbounded).
-func NewArchive(capacity int) *Archive {
-	return &Archive{capacity: capacity}
-}
-
-// Len returns the number of stored points.
-func (a *Archive) Len() int { return len(a.objs) }
-
-// Objectives returns the stored objective vectors (not copied).
-func (a *Archive) Objectives() [][]float64 { return a.objs }
-
-// Payloads returns the stored payloads, parallel to Objectives.
-func (a *Archive) Payloads() []any { return a.payload }
-
-// Add inserts a point with its payload. It returns true if the point
-// was accepted (non-dominated at insertion time).
-func (a *Archive) Add(obj []float64, payload any) bool {
-	for _, o := range a.objs {
-		if Dominates(o, obj) || equal(o, obj) {
-			return false
-		}
-	}
-	keepObjs := a.objs[:0]
-	keepPay := a.payload[:0]
-	for i, o := range a.objs {
-		if !Dominates(obj, o) {
-			keepObjs = append(keepObjs, o)
-			keepPay = append(keepPay, a.payload[i])
-		}
-	}
-	a.objs = append(keepObjs, append([]float64(nil), obj...))
-	a.payload = append(keepPay, payload)
-	if a.capacity > 0 && len(a.objs) > a.capacity {
-		a.evictMostCrowded()
-	}
-	return true
-}
-
-func (a *Archive) evictMostCrowded() {
-	front := make([]int, len(a.objs))
-	for i := range front {
-		front[i] = i
-	}
-	crowd := Crowding(a.objs, front)
-	worst, worstDist := -1, math.Inf(1)
-	for i, d := range crowd {
-		if d < worstDist {
-			worst, worstDist = i, d
-		}
-	}
-	if worst < 0 {
-		worst = len(a.objs) - 1 // all boundary: drop the newest
-	}
-	a.objs = append(a.objs[:worst], a.objs[worst+1:]...)
-	a.payload = append(a.payload[:worst], a.payload[worst+1:]...)
-}
-
 func equal(a, b []float64) bool {
 	for i := range a {
 		if a[i] != b[i] {

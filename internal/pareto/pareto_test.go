@@ -241,69 +241,6 @@ func TestFitnessFeasibleVsInfeasible(t *testing.T) {
 	}
 }
 
-func TestArchiveBasics(t *testing.T) {
-	a := NewArchive(0)
-	if !a.Add([]float64{2, 2}, "p1") {
-		t.Fatal("first add rejected")
-	}
-	if a.Add([]float64{3, 3}, "p2") {
-		t.Error("dominated point accepted")
-	}
-	if a.Add([]float64{2, 2}, "dup") {
-		t.Error("duplicate point accepted")
-	}
-	if !a.Add([]float64{1, 3}, "p3") {
-		t.Error("non-dominated point rejected")
-	}
-	if !a.Add([]float64{1, 1}, "p4") {
-		t.Error("dominating point rejected")
-	}
-	// p4 dominates both remaining points.
-	if a.Len() != 1 {
-		t.Errorf("archive len = %d, want 1", a.Len())
-	}
-	if a.Payloads()[0] != "p4" {
-		t.Errorf("payload = %v, want p4", a.Payloads()[0])
-	}
-}
-
-func TestArchiveCapacityEviction(t *testing.T) {
-	a := NewArchive(3)
-	// Insert 5 mutually non-dominated points.
-	pts := [][]float64{{0, 10}, {10, 0}, {5, 5}, {2, 8}, {8, 2}}
-	for i, p := range pts {
-		a.Add(p, i)
-	}
-	if a.Len() != 3 {
-		t.Fatalf("archive len = %d, want capacity 3", a.Len())
-	}
-	// The extreme points (0,10) and (10,0) must survive (infinite
-	// crowding distance).
-	hasExtreme := func(want []float64) bool {
-		for _, o := range a.Objectives() {
-			if o[0] == want[0] && o[1] == want[1] {
-				return true
-			}
-		}
-		return false
-	}
-	if !hasExtreme([]float64{0, 10}) || !hasExtreme([]float64{10, 0}) {
-		t.Errorf("boundary points evicted: %v", a.Objectives())
-	}
-}
-
-func TestArchiveStoresCopies(t *testing.T) {
-	a := NewArchive(0)
-	obj := []float64{1, 2}
-	a.Add(obj, nil)
-	obj[0] = 99
-	if a.Objectives()[0][0] != 1 {
-		t.Error("archive must copy objective vectors")
-	}
-}
-
-// Property: the Pareto front returned by NonDominated is internally
-// non-dominated and every excluded point is dominated by some member.
 func TestQuickNonDominatedCorrect(t *testing.T) {
 	r := rng.New(3)
 	f := func(n uint8) bool {

@@ -36,12 +36,6 @@ func (m *Metrics) WriteTraceCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// Summary renders the headline metrics as a one-line report.
-func (m *Metrics) Summary() string {
-	return fmt.Sprintf("events=%d reconfigs=%d avg_dRC=%.4fms max_dRC=%.3fms avg_J=%.2fmJ violations=%d checks=%d",
-		m.Events, m.Reconfigs, m.AvgDRC, m.MaxDRC, m.AvgEnergyMJ, m.ViolationEvents, m.FeasibilityChecks)
-}
-
 func formatF(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // ReadSpecsCSV parses a specification sequence for Params.Replay. The

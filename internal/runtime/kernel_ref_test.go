@@ -535,7 +535,7 @@ func TestSimulateMatchesReference(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s/%s/gamma%v: metrics differ:\n got  %+v\n want %+v", trig, pol, gamma, got.Summary(), want.Summary())
+					t.Errorf("%s/%s/gamma%v: metrics differ:\n got  %+v\n want %+v", trig, pol, gamma, got, want)
 				}
 			}
 		}

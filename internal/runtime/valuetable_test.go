@@ -181,8 +181,8 @@ func TestGammaZeroPriorPreservesURADecisions(t *testing.T) {
 	// The inherited-prior counterpart of TestGammaZeroAgentSubsumesURA:
 	// at gamma=0 the scorer ignores value terms entirely, so seeding an
 	// agent with an arbitrary cohort prior must leave the decision
-	// stream byte-identical to plain uRA. This is the identity the
-	// cohort-soak CI job pins fleet-wide.
+	// stream byte-identical to plain uRA. fleettest's TestABIdentityArm
+	// pins the same identity fleet-wide.
 	plain, err := Simulate(baseParams(t, 0.6, 21))
 	if err != nil {
 		t.Fatal(err)

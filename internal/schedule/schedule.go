@@ -66,10 +66,6 @@ type Result struct {
 	MeetsPeriod bool
 }
 
-// ErrorRate returns 1 - F_app, the application error rate used as the
-// x-axis of the paper's Figure 1.
-func (r *Result) ErrorRate() float64 { return 1 - r.Reliability }
-
 // Evaluator computes schedules and system metrics for mappings within
 // one problem instance. It is stateless apart from the instance
 // definition and safe for concurrent use.

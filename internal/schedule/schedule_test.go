@@ -136,9 +136,6 @@ func TestReliabilityIsCriticalityWeighted(t *testing.T) {
 	if math.Abs(res.Reliability-want) > 1e-12 {
 		t.Errorf("reliability = %v, want %v", res.Reliability, want)
 	}
-	if res.ErrorRate() != 1-res.Reliability {
-		t.Error("ErrorRate should be 1 - Reliability")
-	}
 }
 
 func TestCLRProtectionRaisesReliabilityCostsEnergy(t *testing.T) {
