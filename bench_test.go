@@ -811,6 +811,57 @@ func postBenchJSON(client *http.Client, url string, body any) error {
 	return nil
 }
 
+// BenchmarkDecisionJSON measures the single-event QoS answer's JSON
+// codec (fleet.AppendDecision, fleet.DecodeDecision) on a 103-action
+// plan, the mean plan length of serve-single's planful answers, and on
+// a plan-less answer. Encoding appends into a warm buffer; decoding
+// allocates the returned answer, as the client does per call.
+func BenchmarkDecisionJSON(b *testing.B) {
+	planful := fleet.DecisionJSON{Device: "dev-000042", Seq: 17, From: 12, To: 57, Reconfigured: true}
+	kinds := []string{"copy-binary", "load-bitstream", "set-clr", "reorder"}
+	for i := 0; i < 103; i++ {
+		a := fleet.ActionJSON{Kind: kinds[i%len(kinds)], Task: i % 40, PE: -1, PRR: -1, Bitstream: -1}
+		switch i % len(kinds) {
+		case 0:
+			a.PE, a.CostMs = i%6, 0.29+0.0137*float64(i)
+			planful.BinaryMigrationMs += a.CostMs
+			planful.MigratedTasks++
+		case 1:
+			a.Task, a.PRR, a.Bitstream, a.CostMs = -1, i%3, i, 1.7+0.0419*float64(i)
+			planful.BitstreamMs += a.CostMs
+			planful.ReloadedPRRs++
+		}
+		planful.Plan = append(planful.Plan, a)
+	}
+	planful.CostMs = planful.BinaryMigrationMs + planful.BitstreamMs
+	planless := fleet.DecisionJSON{Device: "dev-000042", Seq: 18, From: 57, To: 57, Violated: true}
+	for _, tc := range []struct {
+		name string
+		d    *fleet.DecisionJSON
+	}{{"plan", &planful}, {"noplan", &planless}} {
+		body, err := fleet.AppendDecision(nil, tc.d)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run("encode/"+tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			buf := body
+			for i := 0; i < b.N; i++ {
+				buf, _ = fleet.AppendDecision(buf[:0], tc.d)
+			}
+		})
+		b.Run("decode/"+tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var d fleet.DecisionJSON
+				if err := fleet.DecodeDecision(body, &d); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkAblationStorageBudget sweeps the pruning budget of the
 // paper's storage-constraint concern: how much run-time quality a
 // smaller stored database costs.

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"reflect"
 	"strings"
 	"sync"
@@ -400,14 +401,13 @@ type call struct {
 // is unmarshalled into out (out is zeroed per attempt so a field an
 // earlier attempt decoded cannot leak through an omitted key). The
 // retry/redirect/breaker machinery lives in doCall.
-func (c *Client) do(ctx context.Context, endpoint, method, path, deviceID string, body, out any, wantStatus int, accept func() error) error {
+func (c *Client) do(ctx context.Context, endpoint, method, path, deviceID string, body, out any, wantStatus int) error {
 	cl := call{
 		endpoint:   endpoint,
 		method:     method,
 		path:       path,
 		deviceID:   deviceID,
 		wantStatus: wantStatus,
-		accept:     accept,
 	}
 	if body != nil {
 		var err error
@@ -419,8 +419,8 @@ func (c *Client) do(ctx context.Context, endpoint, method, path, deviceID string
 	if out != nil {
 		cl.handle = func(data []byte) error {
 			// out is shared across attempts; zero it first so a field an
-			// earlier attempt decoded (e.g. degraded=true) cannot leak
-			// into this attempt's answer through an omitted JSON key.
+			// earlier attempt decoded cannot leak into this attempt's
+			// answer through an omitted JSON key.
 			reflect.ValueOf(out).Elem().SetZero()
 			if err := json.Unmarshal(data, out); err != nil {
 				return fmt.Errorf("client: decoding response: %w", err)
@@ -525,13 +525,57 @@ func (c *Client) attempt(ctx context.Context, br *Breaker, trace obs.TraceID, ba
 		br.Failure()
 		return err
 	}
-	data, err := io.ReadAll(resp.Body)
-	//lint:allow errdrop close after a full read; drain errors already surfaced via ReadAll
+	buf := readBufPool.Get().(*[]byte)
+	data, err := readBody(resp.Body, resp.ContentLength, (*buf)[:0])
+	//lint:allow errdrop close after a full read; drain errors already surfaced via readBody
 	resp.Body.Close()
 	if err != nil {
+		err = fmt.Errorf("client: reading response: %w", err)
 		br.Failure()
-		return fmt.Errorf("client: reading response: %w", err)
+	} else {
+		err = c.answer(br, cl, resp, data)
 	}
+	*buf = data[:0]
+	readBufPool.Put(buf)
+	return err
+}
+
+// readBufPool recycles response read buffers. Copy-out rule: nothing
+// may keep a reference into a body once its attempt returns, so every
+// call.handle decoder copies what it keeps (encoding/json and the
+// fleet codecs do).
+var readBufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPresize bounds how far a response's Content-Length alone may
+// grow a read buffer before any byte of the body arrives.
+const maxPresize = 16 << 20
+
+// readBody reads r to EOF, appending to buf. A known content length
+// sizes the buffer once, with a spare byte so the read that meets EOF
+// does not grow it.
+func readBody(r io.Reader, size int64, buf []byte) ([]byte, error) {
+	if size >= 0 && size < maxPresize && int(size) >= cap(buf) {
+		buf = make([]byte, 0, size+1)
+	}
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
+}
+
+// answer handles one attempt's response: a redirect, an error status,
+// or a body for cl.handle and cl.accept. data is only valid until the
+// attempt returns.
+func (c *Client) answer(br *Breaker, cl *call, resp *http.Response, data []byte) error {
 	if resp.StatusCode == http.StatusTemporaryRedirect {
 		if tgt := resp.Header.Get(cluster.RedirectHeader); tgt != "" {
 			// The node answered coherently — it just doesn't own the
@@ -592,7 +636,7 @@ func (c *Client) nextDelay(k int) time.Duration {
 // fetching the device's current state.
 func (c *Client) Register(ctx context.Context, req fleet.RegisterRequest) (*fleet.DeviceJSON, error) {
 	var dev fleet.DeviceJSON
-	err := c.do(ctx, "register", http.MethodPost, "/v1/devices", req.ID, req, &dev, http.StatusCreated, nil)
+	err := c.do(ctx, "register", http.MethodPost, "/v1/devices", req.ID, req, &dev, http.StatusCreated)
 	var apiErr *APIError
 	if errors.As(err, &apiErr) && apiErr.Status == http.StatusConflict {
 		return c.Device(ctx, req.ID)
@@ -603,17 +647,43 @@ func (c *Client) Register(ctx context.Context, req fleet.RegisterRequest) (*flee
 	return &dev, nil
 }
 
+// devicePath is the path of one device's resource; the ID is escaped
+// so that every registrable ID addresses its own device.
+func devicePath(id string) string { return "/v1/devices/" + url.PathEscape(id) }
+
 // QoS submits one QoS event. seq, when positive, identifies the event
 // for exactly-once processing: retries reuse it and the server answers
 // replays from its decision cache. With RetryDegraded set, degraded
 // answers are retried and the last one is returned with ErrDegraded if
 // the fault never cleared.
+//
+// The exchange runs on the fleet's hand-written JSON codec; the wire
+// bytes are those encoding/json would write and read.
 func (c *Client) QoS(ctx context.Context, id string, seq uint64, spec fleet.QoSSpecJSON) (*fleet.DecisionJSON, error) {
 	var dec fleet.DecisionJSON
-	req := fleet.QoSRequest{QoSSpecJSON: spec, Seq: seq}
-	accept := func() error { return nil }
+	payload, err := fleet.AppendQoSRequest(nil, fleet.QoSRequest{QoSSpecJSON: spec, Seq: seq})
+	if err != nil {
+		return nil, err
+	}
+	cl := call{
+		endpoint:    "qos",
+		method:      http.MethodPost,
+		path:        devicePath(id) + "/qos",
+		deviceID:    id,
+		contentType: "application/json",
+		payload:     payload,
+		wantStatus:  http.StatusOK,
+		// DecodeDecision zeroes dec first, so a field an earlier
+		// attempt decoded cannot leak into this one.
+		handle: func(data []byte) error {
+			if err := fleet.DecodeDecision(data, &dec); err != nil {
+				return fmt.Errorf("client: decoding response: %w", err)
+			}
+			return nil
+		},
+	}
 	if c.retryDeg {
-		accept = func() error {
+		cl.accept = func() error {
 			if dec.Degraded {
 				c.degRetries.Add(1)
 				return ErrDegraded
@@ -621,7 +691,7 @@ func (c *Client) QoS(ctx context.Context, id string, seq uint64, spec fleet.QoSS
 			return nil
 		}
 	}
-	err := c.do(ctx, "qos", http.MethodPost, "/v1/devices/"+id+"/qos", id, req, &dec, http.StatusOK, accept)
+	err = c.doCall(ctx, &cl)
 	if err != nil && c.retryDeg && errors.Is(err, ErrDegraded) && dec.Degraded {
 		// Retries exhausted on a persistent fault: the degraded answer
 		// is still the service's contract-honouring fallback.
@@ -636,7 +706,7 @@ func (c *Client) QoS(ctx context.Context, id string, seq uint64, spec fleet.QoSS
 // Device fetches a device snapshot.
 func (c *Client) Device(ctx context.Context, id string) (*fleet.DeviceJSON, error) {
 	var dev fleet.DeviceJSON
-	if err := c.do(ctx, "device", http.MethodGet, "/v1/devices/"+id, id, nil, &dev, http.StatusOK, nil); err != nil {
+	if err := c.do(ctx, "device", http.MethodGet, devicePath(id), id, nil, &dev, http.StatusOK); err != nil {
 		return nil, err
 	}
 	return &dev, nil
@@ -645,7 +715,7 @@ func (c *Client) Device(ctx context.Context, id string) (*fleet.DeviceJSON, erro
 // Databases lists the server's decision bases.
 func (c *Client) Databases(ctx context.Context) ([]fleet.DatabaseJSON, error) {
 	var dbs []fleet.DatabaseJSON
-	if err := c.do(ctx, "databases", http.MethodGet, "/v1/databases", "", nil, &dbs, http.StatusOK, nil); err != nil {
+	if err := c.do(ctx, "databases", http.MethodGet, "/v1/databases", "", nil, &dbs, http.StatusOK); err != nil {
 		return nil, err
 	}
 	return dbs, nil
@@ -653,7 +723,7 @@ func (c *Client) Databases(ctx context.Context) ([]fleet.DatabaseJSON, error) {
 
 // Deregister removes a device.
 func (c *Client) Deregister(ctx context.Context, id string) error {
-	return c.do(ctx, "deregister", http.MethodDelete, "/v1/devices/"+id, id, nil, nil, http.StatusNoContent, nil)
+	return c.do(ctx, "deregister", http.MethodDelete, devicePath(id), id, nil, nil, http.StatusNoContent)
 }
 
 // payloadPool recycles batch payload buffers: a steady submitter

@@ -139,8 +139,14 @@ func (p *DeviceParams) validate() error {
 	if p.ID == "" {
 		return fmt.Errorf("fleet: empty device ID")
 	}
+	// Every per-device route must reach the device: "?" and "#" would
+	// end the path, control bytes cannot be sent in a URL, and ServeMux
+	// redirects the dot segments away.
+	if p.ID == "." || p.ID == ".." {
+		return fmt.Errorf("fleet: device ID %q is a dot segment; IDs must be URL-path-safe", p.ID)
+	}
 	for _, c := range p.ID {
-		if c == '/' || c == '%' || c == ' ' {
+		if c == '/' || c == '%' || c == ' ' || c == '?' || c == '#' || c < 0x20 || c == 0x7f {
 			return fmt.Errorf("fleet: device ID %q contains %q; IDs must be URL-path-safe", p.ID, c)
 		}
 	}

@@ -150,8 +150,13 @@ func TestRegistryErrors(t *testing.T) {
 	if _, err := reg.Register(DeviceParams{Database: "red", Initial: spec}); err == nil {
 		t.Error("accepted empty device ID")
 	}
-	if _, err := reg.Register(DeviceParams{ID: "a/b", Database: "red", Initial: spec}); err == nil {
-		t.Error("accepted device ID with a slash")
+	// IDs no per-device route could address: a slash or "%" changes the
+	// path, "?" and "#" end it, control bytes cannot travel in a URL,
+	// and ServeMux redirects dot segments away.
+	for _, id := range []string{"a/b", "a%b", "a b", "a?b", "a#b", ".", "..", "a\tb", "a\x00b", "a\x1fb", "a\x7fb"} {
+		if _, err := reg.Register(DeviceParams{ID: id, Database: "red", Initial: spec}); err == nil {
+			t.Errorf("accepted device ID %q", id)
+		}
 	}
 	if _, err := reg.Register(DeviceParams{ID: "d", Database: "red", PRC: 1.5, Initial: spec}); err == nil {
 		t.Error("accepted pRC outside [0,1]")

@@ -231,15 +231,26 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	jb.buf.Reset()
 	if err := jb.enc.Encode(v); err != nil {
 		jsonBufPool.Put(jb)
-		http.Error(w, `{"error":"response encoding failed"}`, http.StatusInternalServerError)
+		writeEncodeFailure(w)
 		return
 	}
+	writeBody(w, status, jb.buf.Bytes())
+	jsonBufPool.Put(jb)
+}
+
+// writeBody sends an encoded JSON body with an exact Content-Length.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(jb.buf.Len()))
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
 	//lint:allow errdrop a response-write failure means the client is gone; there is no one left to tell
-	_, _ = w.Write(jb.buf.Bytes())
-	jsonBufPool.Put(jb)
+	_, _ = w.Write(body)
+}
+
+// writeEncodeFailure answers a response that could not be encoded
+// (a NaN or infinite float).
+func writeEncodeFailure(w http.ResponseWriter) {
+	http.Error(w, `{"error":"response encoding failed"}`, http.StatusInternalServerError)
 }
 
 // statusFor maps registry and validation errors onto status codes —
@@ -269,8 +280,8 @@ func writeError(w http.ResponseWriter, err error) {
 // trailing data after the first JSON value are both rejected (a body
 // like `{...}{...}` or `{...}]` used to be silently accepted up to the
 // first value).
-func decodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+func decodeJSON(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("invalid request body: %w", err)
@@ -283,7 +294,7 @@ func decodeJSON(r *http.Request, v any) error {
 
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req RegisterRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeJSON(r.Body, &req); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -301,24 +312,35 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 }
 
 // qosScratch is pooled per-request state for the single-event decide
-// path: the decode target and the response struct (whose Plan slice
-// keeps its capacity across requests). Pool-reset rule: the decode
-// target is zeroed before Decode (stale fields from the previous
-// request must not leak into one that omits them), and the response
-// struct is fully overwritten by decisionJSONInto.
+// path: the request body, the decode target, the response struct
+// (whose Plan slice keeps its capacity across requests) and the
+// response bytes. Pool-reset rules: the body and response buffers are
+// truncated before use, DecodeQoSRequest zeroes the decode target
+// (stale fields from the previous request must not leak into one that
+// omits them), and the response struct is fully overwritten by
+// decisionJSONInto.
 type qosScratch struct {
-	req QoSRequest
-	dj  DecisionJSON
+	body bytes.Buffer
+	req  QoSRequest
+	dj   DecisionJSON
+	out  []byte
 }
 
 var qosScratchPool = sync.Pool{New: func() any { return new(qosScratch) }}
 
+// handleQoS is POST /v1/devices/{id}/qos on the hand-written JSON
+// codec (jsoncodec.go). The body is read whole, up to the body cap, so
+// a body over the cap answers 413 wherever its excess lies.
 func (s *Server) handleQoS(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	qs := qosScratchPool.Get().(*qosScratch)
 	defer qosScratchPool.Put(qs)
-	qs.req = QoSRequest{}
-	if err := decodeJSON(r, &qs.req); err != nil {
+	qs.body.Reset()
+	if _, err := qs.body.ReadFrom(r.Body); err != nil {
+		writeError(w, fmt.Errorf("invalid request body: %w", err))
+		return
+	}
+	if err := DecodeQoSRequest(qs.body.Bytes(), &qs.req); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -336,7 +358,13 @@ func (s *Server) handleQoS(w http.ResponseWriter, r *http.Request) {
 	decisionJSONInto(&qs.dj, id, out.Decision)
 	qs.dj.Seq = qs.req.Seq
 	qs.dj.Degraded = out.Degraded
-	writeJSON(w, http.StatusOK, &qs.dj)
+	body, err := AppendDecision(qs.out[:0], &qs.dj)
+	if err != nil {
+		writeEncodeFailure(w)
+		return
+	}
+	qs.out = body
+	writeBody(w, http.StatusOK, body)
 }
 
 // MaxBatchEvents caps one batch request; larger fleets split client
@@ -391,7 +419,7 @@ func (s *Server) handleDecideBatch(w http.ResponseWriter, r *http.Request) {
 		bs.events = evs
 	} else {
 		var req BatchRequestJSON
-		if err := decodeJSON(r, &req); err != nil {
+		if err := decodeJSON(r.Body, &req); err != nil {
 			writeError(w, err)
 			return
 		}

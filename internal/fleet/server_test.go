@@ -91,8 +91,10 @@ func TestServerEndToEndMatchesManager(t *testing.T) {
 	}
 	boot := looseSpec(f.red)
 
-	// Reference decisions from direct in-process managers.
+	// Reference decisions from direct in-process managers, with the
+	// bytes encoding/json's Encoder writes for each one's answer.
 	want := make([][]string, devices)
+	wantBody := make([][]string, devices)
 	for d := 0; d < devices; d++ {
 		mgr, err := runtime.NewManager(runtime.ManagerParams{
 			DB: f.red, Space: f.problem.Space, PRC: 0.5,
@@ -102,12 +104,19 @@ func TestServerEndToEndMatchesManager(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, spec := range scripts[d] {
-			want[d] = append(want[d], decisionKey(t, mgr.OnQoSChange(spec)))
+			ref := mgr.OnQoSChange(spec)
+			want[d] = append(want[d], decisionKey(t, ref))
+			var body bytes.Buffer
+			if err := json.NewEncoder(&body).Encode(decisionJSON(fmt.Sprintf("e2e-%d", d), ref)); err != nil {
+				t.Fatal(err)
+			}
+			wantBody[d] = append(wantBody[d], body.String())
 		}
 	}
 
 	// The same traffic over HTTP, all devices concurrently.
 	got := make([][]string, devices)
+	gotBody := make([][]string, devices)
 	var wg sync.WaitGroup
 	for d := 0; d < devices; d++ {
 		wg.Add(1)
@@ -123,10 +132,19 @@ func TestServerEndToEndMatchesManager(t *testing.T) {
 				return
 			}
 			for _, spec := range scripts[d] {
-				var dec DecisionJSON
-				err := postJSON(client, base+"/v1/devices/"+id+"/qos",
-					QoSSpecJSON{SMaxMs: spec.SMaxMs, FMin: spec.FMin}, http.StatusOK, &dec)
+				payload, err := json.Marshal(QoSSpecJSON{SMaxMs: spec.SMaxMs, FMin: spec.FMin})
 				if err != nil {
+					t.Error(err)
+					return
+				}
+				status, raw, err := postRaw(client, base+"/v1/devices/"+id+"/qos", "application/json", payload)
+				if err != nil || status != http.StatusOK {
+					t.Errorf("qos %s: status %d, %v (%s)", id, status, err, raw)
+					return
+				}
+				gotBody[d] = append(gotBody[d], string(raw))
+				var dec DecisionJSON
+				if err := json.Unmarshal(raw, &dec); err != nil {
 					t.Errorf("qos %s: %v", id, err)
 					return
 				}
@@ -150,6 +168,12 @@ func TestServerEndToEndMatchesManager(t *testing.T) {
 			if got[d][i] != want[d][i] {
 				t.Fatalf("device %d event %d:\n  http:       %s\n  in-process: %s",
 					d, i, got[d][i], want[d][i])
+			}
+			// The served bytes, not a re-marshalling of them, must be
+			// what encoding/json writes for the reference answer.
+			if gotBody[d][i] != wantBody[d][i] {
+				t.Fatalf("device %d event %d: body is not encoding/json's bytes:\n  http:          %q\n  encoding/json: %q",
+					d, i, gotBody[d][i], wantBody[d][i])
 			}
 		}
 	}
