@@ -27,19 +27,22 @@ func sameDatabase(t *testing.T, label string, a, b *Database) {
 }
 
 // TestRunReDParallelMatchesSerial proves the worker-pool ReD stage is
-// deterministic: any worker count must produce the byte-identical
-// database a serial run does, including the exploration statistics.
+// deterministic: any worker count — of per-seed sub-optimisations and
+// of evaluation workers inside each sub-GA, including more workers
+// than the population — must produce the byte-identical database a
+// serial run does, including the exploration statistics.
 func TestRunReDParallelMatchesSerial(t *testing.T) {
 	p := testProblem(t, 20, false)
 	base, err := RunBase(p, smallGA(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(workers int) (*Database, Stats) {
+	run := func(workers, gaWorkers int) (*Database, Stats) {
 		var st Stats
 		p.Stats = &st
 		rp := smallReD(2)
 		rp.Workers = workers
+		rp.GA.Workers = gaWorkers
 		db, err := RunReD(p, base, rp)
 		if err != nil {
 			t.Fatal(err)
@@ -47,12 +50,18 @@ func TestRunReDParallelMatchesSerial(t *testing.T) {
 		p.Stats = nil
 		return db, st
 	}
-	serial, serialStats := run(1)
-	for _, workers := range []int{2, 4, 0} {
-		par, parStats := run(workers)
-		sameDatabase(t, "workers="+strconv.Itoa(workers), serial, par)
-		if serialStats.ReDEvals != parStats.ReDEvals || serialStats.ReDExtras != parStats.ReDExtras {
-			t.Errorf("workers=%d: stats differ: serial %+v, parallel %+v", workers, serialStats, parStats)
+	serial, serialStats := run(1, 1)
+	for _, gaWorkers := range []int{0, 1, 3, 64} {
+		for _, workers := range []int{1, 2, 4, 0} {
+			if workers == 1 && gaWorkers == 1 {
+				continue
+			}
+			label := "workers=" + strconv.Itoa(workers) + " ga.workers=" + strconv.Itoa(gaWorkers)
+			par, parStats := run(workers, gaWorkers)
+			sameDatabase(t, label, serial, par)
+			if serialStats.ReDEvals != parStats.ReDEvals || serialStats.ReDExtras != parStats.ReDExtras {
+				t.Errorf("%s: stats differ: serial %+v, parallel %+v", label, serialStats, parStats)
+			}
 		}
 	}
 }
