@@ -370,6 +370,41 @@ func BenchmarkDRC(b *testing.B) {
 	}
 }
 
+// BenchmarkAvgDRC measures one DRCCache miss: the average
+// reconfiguration distance of a genome the cache has not seen, against
+// a 20-point stored set on a 40-task application — the ReD objective
+// of one fresh genome, memo insert included. A ring of 64 distinct
+// genomes feeds it; the cache is rebuilt, off the clock, each time the
+// ring comes round.
+func BenchmarkAvgDRC(b *testing.B) {
+	plat := DefaultPlatform()
+	g, err := taskgraph.Generate(taskgraph.GenParams{Seed: 73, NumTasks: 40}, plat)
+	if err != nil {
+		b.Fatal(err)
+	}
+	space := &mapping.Space{Graph: g, Platform: plat, Catalogue: relmodel.DefaultCatalogue()}
+	r := rng.New(4)
+	set := make([]*mapping.Mapping, 20)
+	for i := range set {
+		set[i] = space.Random(r)
+	}
+	ring := make([]*mapping.Mapping, 64)
+	for i := range ring {
+		ring[i] = space.Random(r)
+	}
+	var cache *mapping.DRCCache
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(ring)
+		if k == 0 {
+			b.StopTimer()
+			cache = mapping.NewDRCCache(space, set)
+			b.StartTimer()
+		}
+		cache.AvgDRC(ring[k])
+	}
+}
+
 func BenchmarkHypervolume3D(b *testing.B) {
 	r := rng.New(3)
 	pts := make([][]float64, 30)

@@ -168,12 +168,14 @@ func (db *Database) Mappings() []*mapping.Mapping {
 }
 
 // Evaluator wraps the schedule evaluator with a memoisation cache so
-// the GA never schedules the same genome twice. The cache is keyed by
-// genome hash (mapping.Memo) and keeps a reference to every genome it
-// has evaluated, which must therefore not be modified afterwards.
+// the GA never schedules the same genome twice. It keeps only what the
+// search reads, the system metrics (schedule.Summary), not the slots.
+// The cache is keyed by genome hash (mapping.Memo) and keeps a
+// reference to every genome it has evaluated, which must therefore not
+// be modified afterwards.
 type Evaluator struct {
 	inner *schedule.Evaluator
-	memo  mapping.Memo[*schedule.Result]
+	memo  mapping.Memo[*schedule.Summary]
 	// hash keys the memo; tests replace it to force collisions.
 	hash func(*mapping.Mapping) uint64
 	mu   sync.Mutex
@@ -189,17 +191,18 @@ func NewEvaluator(p *Problem) *Evaluator {
 	}
 }
 
-// Evaluate returns the schedule result for m, computing it at most
-// once per distinct genome.
-func (e *Evaluator) Evaluate(m *mapping.Mapping) (*schedule.Result, error) {
+// Evaluate returns the system metrics of m's schedule, computing them
+// at most once per distinct genome.
+func (e *Evaluator) Evaluate(m *mapping.Mapping) (*schedule.Summary, error) {
 	h := e.hash(m)
 	if r, ok := e.memo.Get(h, m); ok {
 		return r, nil
 	}
-	r, err := e.inner.Evaluate(m)
+	sum, err := e.inner.Summarize(m)
 	if err != nil {
 		return nil, err
 	}
+	r := &sum
 	// Concurrent callers may race to evaluate the same fresh genome;
 	// the memo stores it once, so Evals equals the number of distinct
 	// genomes regardless of worker interleaving.
@@ -263,7 +266,7 @@ func RunBase(p *Problem, params ga.Params) (*Database, error) {
 	}
 	db := &Database{Name: "BaseD"}
 	for _, ind := range pop.ParetoFront() {
-		res := ind.Payload.(*schedule.Result)
+		res := ind.Payload.(*schedule.Summary)
 		db.Points = append(db.Points, &DesignPoint{
 			ID:          len(db.Points),
 			M:           ind.M,

@@ -399,3 +399,59 @@ func TestQoSBodyOverCapAnswers413(t *testing.T) {
 		}
 	}
 }
+
+// TestBodyOverCapAnswers413OnEveryRoute posts each JSON route a body
+// past MaxBodyBytes, with the excess once as whitespace after a valid
+// value and once inside the value: every route answers 413, and the
+// same valid value within the cap still succeeds. The QoS route is the
+// control; register and the JSON batch read their bodies through
+// decodeJSON, whose trailing-data probe hits the cap in the whitespace
+// case.
+func TestBodyOverCapAnswers413OnEveryRoute(t *testing.T) {
+	const limit = 512
+	srv, err := NewServer(ServerConfig{Databases: fleetDatabases(t), Logger: quietLogger(), MaxBodyBytes: limit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := looseSpec(getFixture(t).red)
+	if _, err := srv.Registry().Register(DeviceParams{ID: "cap", Database: "red", PRC: 0.5, Initial: spec}); err != nil {
+		t.Fatal(err)
+	}
+	qos := fmt.Sprintf(`{"s_max_ms":%g,"f_min":%g}`, spec.SMaxMs, spec.FMin)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	for _, rt := range []struct {
+		name, path string
+		ok         int
+		// value builds a valid body whose padding string field is pad.
+		value func(pad string) string
+	}{
+		{"register", "/v1/devices", http.StatusCreated, func(pad string) string {
+			return fmt.Sprintf(`{"id":"dev%s","database":"red","prc":0.5,"initial":%s}`, pad, qos)
+		}},
+		{"batch", "/v1/devices:decide-batch", http.StatusOK, func(pad string) string {
+			return fmt.Sprintf(`{"events":[{"device":"cap%s","s_max_ms":%g,"f_min":%g}]}`, pad, spec.SMaxMs, spec.FMin)
+		}},
+		{"qos", "/v1/devices/cap/qos", http.StatusOK, func(pad string) string {
+			return qos + pad // the QoS body has no string field; pad after it
+		}},
+	} {
+		for _, tc := range []struct {
+			name string
+			body string
+			want int
+		}{
+			{"within cap", rt.value(""), rt.ok},
+			{"whitespace after the value", rt.value("") + strings.Repeat(" ", limit+1), http.StatusRequestEntityTooLarge},
+			{"inside the value", rt.value(strings.Repeat("x", limit+1)), http.StatusRequestEntityTooLarge},
+		} {
+			status, body, err := postRaw(ts.Client(), ts.URL+rt.path, "application/json", []byte(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if status != tc.want {
+				t.Errorf("%s, %s (%d bytes): status %d, want %d (%s)", rt.name, tc.name, len(tc.body), status, tc.want, body)
+			}
+		}
+	}
+}

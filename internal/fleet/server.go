@@ -279,17 +279,24 @@ func writeError(w http.ResponseWriter, err error) {
 // decodeJSON strictly parses a request body into v: unknown fields and
 // trailing data after the first JSON value are both rejected (a body
 // like `{...}{...}` or `{...}]` used to be silently accepted up to the
-// first value).
+// first value). A body that runs past the server's cap fails with the
+// wrapped *http.MaxBytesError (413), whether the excess sits inside the
+// value or after it.
 func decodeJSON(r io.Reader, v any) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("invalid request body: %w", err)
 	}
-	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
-		return fmt.Errorf("invalid request body: trailing data after JSON value")
+	_, err := dec.Token()
+	var maxBytes *http.MaxBytesError
+	switch {
+	case errors.Is(err, io.EOF):
+		return nil
+	case errors.As(err, &maxBytes):
+		return fmt.Errorf("invalid request body: %w", err)
 	}
-	return nil
+	return fmt.Errorf("invalid request body: trailing data after JSON value")
 }
 
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {

@@ -85,18 +85,19 @@ func (a Action) String() string {
 // decision hot path of deployed managers, so the resident-set scan
 // reuses pooled scratch and the returned slice is sized exactly.
 func (s *Space) Diff(from, to *Mapping) []Action {
-	sc := residencyPool.Get().(*residencyPair)
-	s.residencyOf(from, &sc.from)
-	s.residencyOf(to, &sc.to)
+	sc := pairPool.Get().(*drcPair)
+	rf, rt := &sc.from.res, &sc.to.res
+	s.residencyOf(from, rf)
+	s.residencyOf(to, rt)
 
 	// Size the plan before building it.
 	nBits, nCopies, nFrees := 0, 0, 0
 	for prr := range s.Platform.PRRs {
-		nBits += newLoads(&sc.from, &sc.to, prr)
+		nBits += newLoads(rf, rt, prr)
 	}
 	for t := range to.Genes {
-		gf, gt := from.Genes[t], to.Genes[t]
-		if (gf.PE != gt.PE || gf.Impl != gt.Impl) && s.Graph.Tasks[t].Impls[gt.Impl].BitstreamID < 0 {
+		gf, gt := &from.Genes[t], &to.Genes[t]
+		if moved(gf, gt) && s.Graph.Tasks[t].Impls[gt.Impl].BitstreamID < 0 {
 			nCopies++
 		}
 		if gf.CLR != gt.CLR {
@@ -107,7 +108,7 @@ func (s *Space) Diff(from, to *Mapping) []Action {
 		}
 	}
 	if nBits+nCopies+nFrees == 0 {
-		residencyPool.Put(sc)
+		pairPool.Put(sc)
 		return nil
 	}
 	actions := make([]Action, 0, nBits+nCopies+nFrees)
@@ -115,8 +116,8 @@ func (s *Space) Diff(from, to *Mapping) []Action {
 	// Bitstream loads: newly demanded circuits per PRR, in circuit-ID
 	// order within each region (the bitset's word and bit order).
 	for prr := range s.Platform.PRRs {
-		for i := 0; i < sc.to.w; i++ {
-			for w := newWord(&sc.from, &sc.to, prr, i); w != 0; w &= w - 1 {
+		for i := 0; i < rt.w; i++ {
+			for w := newWord(rf, rt, prr, i); w != 0; w &= w - 1 {
 				actions = append(actions, Action{
 					Kind:      ActionLoadBitstream,
 					Task:      -1,
@@ -128,12 +129,12 @@ func (s *Space) Diff(from, to *Mapping) []Action {
 			}
 		}
 	}
-	residencyPool.Put(sc)
+	pairPool.Put(sc)
 
 	// Binary copies, then the free per-task steps.
 	for t := range to.Genes {
-		gf, gt := from.Genes[t], to.Genes[t]
-		if gf.PE == gt.PE && gf.Impl == gt.Impl {
+		gt := &to.Genes[t]
+		if !moved(&from.Genes[t], gt) {
 			continue
 		}
 		im := &s.Graph.Tasks[t].Impls[gt.Impl]

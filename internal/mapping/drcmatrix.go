@@ -34,19 +34,12 @@ import "sync/atomic"
 // ReconfigCost decomposition, bit for bit: it sums the same two terms
 // in the same form. Steady-state calls allocate nothing.
 func (s *Space) DRCTotal(from, to *Mapping) float64 {
-	sc := residencyPool.Get().(*residencyPair)
-	s.residencyOf(from, &sc.from)
-	s.residencyOf(to, &sc.to)
-	v := s.drcTotal(from, to, &sc.from, &sc.to)
-	residencyPool.Put(sc)
-	return v
-}
-
-// drcTotal is DRCTotal over the two mappings' precomputed resident
-// sets.
-func (s *Space) drcTotal(from, to *Mapping, rf, rt *residency) float64 {
+	sc := pairPool.Get().(*drcPair)
+	s.residencyOf(from, &sc.from.res)
+	s.residencyOf(to, &sc.to.res)
 	binMs, _ := s.binaryMs(from, to)
-	bitMs, _ := s.bitstreamMs(rf, rt)
+	bitMs, _ := s.bitstreamMs(&sc.from.res, &sc.to.res)
+	pairPool.Put(sc)
 	return binMs + bitMs
 }
 
@@ -80,10 +73,11 @@ type costRow struct {
 	cells []atomic.Pointer[ReconfigCost]
 }
 
-// NewDRCMatrix precomputes the |maps|^2 pairwise totals from each
-// mapping's resident set, computed once. Every entry is bit-identical
-// to Space.DRC(maps[from], maps[to]).Total(). The matrix retains s and
-// maps to fill its transition-cost table.
+// NewDRCMatrix precomputes the |maps|^2 pairwise totals with the pair
+// kernel, which fills both cells of each unordered pair from the two
+// mappings' sides, prepared once and dropped after the build. Every
+// entry is bit-identical to Space.DRC(maps[from], maps[to]).Total().
+// The matrix retains s and maps to fill its transition-cost table.
 func NewDRCMatrix(s *Space, maps []*Mapping) *DRCMatrix {
 	n := len(maps)
 	m := &DRCMatrix{
@@ -93,14 +87,11 @@ func NewDRCMatrix(s *Space, maps []*Mapping) *DRCMatrix {
 		maps:   maps,
 		trans:  make([]atomic.Pointer[costRow], n),
 	}
-	res := s.residencies(maps)
-	for i, from := range maps {
-		row := m.totals[i*n : (i+1)*n]
-		for j, to := range maps {
-			if i == j {
-				continue // dRC(x, x) = 0: nothing moves
-			}
-			row[j] = s.drcTotal(from, to, &res[i], &res[j])
+	sides := s.prepareAll(maps)
+	for i := range maps {
+		// dRC(x, x) = 0: nothing moves, so the diagonal stays zero.
+		for j := i + 1; j < n; j++ {
+			m.totals[i*n+j], m.totals[j*n+i] = s.pairDRC(maps[i], maps[j], &sides[i], &sides[j])
 		}
 	}
 	return m
@@ -147,14 +138,16 @@ func (m *DRCMatrix) Cost(from, to int) ReconfigCost {
 // (typically out-of-database) configurations to a frozen stored set,
 // keyed by genome hash. GAs re-evaluate cloned genomes every
 // generation; the cache collapses those duplicates to one distance
-// computation each. The stored set's resident sets are computed once,
-// when the cache is built. It keeps a reference to every genome it
-// memoises, which must therefore not be modified afterwards. Safe for
-// concurrent use.
+// computation each. An average depends only on the genome and the
+// stored set, so one cache serves every search over that set. The
+// stored set's sides (resident sets and per-task binary costs) are
+// prepared once, when the cache is built. It keeps a reference to
+// every genome it memoises, which must therefore not be modified
+// afterwards. Safe for concurrent use.
 type DRCCache struct {
 	space *Space
 	set   []*Mapping
-	res   []residency // res[i] is set[i]'s resident set
+	sides []side // sides[i] is set[i]'s
 	memo  Memo[float64]
 	// hash keys the memo; tests replace it to force collisions.
 	hash func(*Mapping) uint64
@@ -162,7 +155,7 @@ type DRCCache struct {
 
 // NewDRCCache builds an empty cache over the stored set.
 func NewDRCCache(s *Space, set []*Mapping) *DRCCache {
-	return &DRCCache{space: s, set: set, res: s.residencies(set), hash: (*Mapping).Hash}
+	return &DRCCache{space: s, set: set, sides: s.prepareAll(set), hash: (*Mapping).Hash}
 }
 
 // AvgDRC returns Space.AvgDRCTo(m, set), bit for bit, computing it at
@@ -172,7 +165,7 @@ func (c *DRCCache) AvgDRC(m *Mapping) float64 {
 	if v, ok := c.memo.Get(h, m); ok {
 		return v
 	}
-	v := c.space.avgDRC(m, c.set, c.res)
+	v := c.space.avgDRC(m, c.set, c.sides)
 	c.memo.Add(h, m, v)
 	return v
 }

@@ -45,30 +45,42 @@ func (c ReconfigCost) Total() float64 { return c.BinaryMigrationMs + c.Bitstream
 func (s *Space) DRC(from, to *Mapping) ReconfigCost {
 	var cost ReconfigCost
 	cost.BinaryMigrationMs, cost.MigratedTasks = s.binaryMs(from, to)
-	sc := residencyPool.Get().(*residencyPair)
-	s.residencyOf(from, &sc.from)
-	s.residencyOf(to, &sc.to)
-	cost.BitstreamMs, cost.ReloadedPRRs = s.bitstreamMs(&sc.from, &sc.to)
-	residencyPool.Put(sc)
+	sc := pairPool.Get().(*drcPair)
+	s.residencyOf(from, &sc.from.res)
+	s.residencyOf(to, &sc.to.res)
+	cost.BitstreamMs, cost.ReloadedPRRs = s.bitstreamMs(&sc.from.res, &sc.to.res)
+	pairPool.Put(sc)
 	return cost
 }
 
-// binaryMs prices task binary migration and counts the tasks whose
-// binding changed. A task whose PE binding or implementation changed
-// needs its (new) binary present at the (new) PE. Software binaries
-// travel over the interconnect, summed in task order; accelerator
-// "binaries" are the bitstream, priced by bitstreamMs.
+// moved reports whether a task's binding changed between two of its
+// genes: a task whose PE binding or implementation changed needs its
+// (new) binary present at the (new) PE. It is the one definition of a
+// migrated task every dRC path shares.
+func moved(a, b *Gene) bool { return a.PE != b.PE || a.Impl != b.Impl }
+
+// binaryCost is what moving task t to its binding under m costs in
+// binary migration: a software binary travels over the interconnect;
+// an accelerator's "binary" is its bitstream, priced by bitstreamMs,
+// so it costs +0.0 here. Adding +0.0 to a sum that starts at +0 leaves
+// the sum's bits unchanged, so every path adds the cost of each moved
+// task unconditionally.
+func (s *Space) binaryCost(m *Mapping, t int) float64 {
+	im := &s.Graph.Tasks[t].Impls[m.Genes[t].Impl]
+	if im.BitstreamID >= 0 {
+		return 0
+	}
+	return s.Platform.BinaryMigrationMs(im.BinaryKB)
+}
+
+// binaryMs prices task binary migration, summed in task order, and
+// counts the tasks that moved.
 func (s *Space) binaryMs(from, to *Mapping) (ms float64, migrated int) {
 	for t := range to.Genes {
-		gf, gt := &from.Genes[t], &to.Genes[t]
-		if gf.PE == gt.PE && gf.Impl == gt.Impl {
-			continue
+		if moved(&from.Genes[t], &to.Genes[t]) {
+			ms += s.binaryCost(to, t)
+			migrated++
 		}
-		im := &s.Graph.Tasks[t].Impls[gt.Impl]
-		if im.BitstreamID < 0 {
-			ms += s.Platform.BinaryMigrationMs(im.BinaryKB)
-		}
-		migrated++
 	}
 	return ms, migrated
 }
@@ -102,12 +114,67 @@ type residency struct {
 	bits []uint64 // bits[prr*w+i] holds circuits 64i..64i+63 of PRR prr
 }
 
-// residencyPair is the pooled scratch of a two-mapping comparison.
-type residencyPair struct {
-	from, to residency
+// side is one mapping prepared for the pair kernel: its resident set
+// and its per-task binary costs (costs[t] is binaryCost of task t).
+type side struct {
+	res   residency
+	costs []float64
 }
 
-var residencyPool = sync.Pool{New: func() any { return new(residencyPair) }}
+// drcPair is the pooled scratch of a two-mapping comparison.
+type drcPair struct {
+	from, to side
+}
+
+var pairPool = sync.Pool{New: func() any { return new(drcPair) }}
+
+// prepare fills d with m's resident set and per-task binary costs,
+// reusing d's storage.
+func (s *Space) prepare(m *Mapping, d *side) {
+	s.residencyOf(m, &d.res)
+	if cap(d.costs) < len(m.Genes) {
+		d.costs = make([]float64, len(m.Genes))
+	}
+	d.costs = d.costs[:len(m.Genes)]
+	for t := range m.Genes {
+		d.costs[t] = s.binaryCost(m, t)
+	}
+}
+
+// prepareAll prepares every mapping of a set, once; the cost vectors
+// share one allocation.
+func (s *Space) prepareAll(maps []*Mapping) []side {
+	sides := make([]side, len(maps))
+	n := 0
+	for _, m := range maps {
+		n += len(m.Genes)
+	}
+	costs := make([]float64, n)
+	for i, m := range maps {
+		k := len(m.Genes)
+		sides[i].costs, costs = costs[:k:k], costs[k:]
+		s.prepare(m, &sides[i])
+	}
+	return sides
+}
+
+// pairDRC is the pair kernel: it returns dRC(a, b) and dRC(b, a), each
+// bit for bit DRCTotal's, from the two mappings' prepared sides. One
+// walk over the genes serves both directions: a task that moved adds
+// b's cost to the forward binary term and a's to the reverse one, both
+// summed in task order as binaryMs sums them.
+func (s *Space) pairDRC(a, b *Mapping, da, db *side) (ab, ba float64) {
+	var abBin, baBin float64
+	for t := range b.Genes {
+		if moved(&a.Genes[t], &b.Genes[t]) {
+			abBin += db.costs[t]
+			baBin += da.costs[t]
+		}
+	}
+	abBit, _ := s.bitstreamMs(&da.res, &db.res)
+	baBit, _ := s.bitstreamMs(&db.res, &da.res)
+	return abBin + abBit, baBin + baBit
+}
 
 // residencyOf fills r with the circuits m demands per PRR, reusing r's
 // storage: a task contributes its implementation's bitstream ID to the
@@ -168,35 +235,27 @@ func newLoads(from, to *residency, prr int) int {
 
 // AvgDRCTo returns the mean dRC from m to each mapping in the set.
 // The ReD optimisation stage uses this as the "average reconfiguration
-// distance from the stored design points" objective. Each mapping's
-// resident set is computed once per call and serves both directions.
+// distance from the stored design points" objective. Each mapping is
+// prepared once per call and serves both directions.
 func (s *Space) AvgDRCTo(m *Mapping, set []*Mapping) float64 {
-	return s.avgDRC(m, set, s.residencies(set))
+	return s.avgDRC(m, set, s.prepareAll(set))
 }
 
-// avgDRC is AvgDRCTo given the set's resident sets (res[i] is
-// set[i]'s); m's own is computed once, into pooled scratch. The sum
+// avgDRC is AvgDRCTo given the set's prepared sides (sides[i] is
+// set[i]'s); m's own is prepared once, into pooled scratch. The sum
 // runs over the set in order, both directions per point.
-func (s *Space) avgDRC(m *Mapping, set []*Mapping, res []residency) float64 {
+func (s *Space) avgDRC(m *Mapping, set []*Mapping, sides []side) float64 {
 	if len(set) == 0 {
 		return 0
 	}
-	sc := residencyPool.Get().(*residencyPair)
-	rm := &sc.from
-	s.residencyOf(m, rm)
+	sc := pairPool.Get().(*drcPair)
+	dm := &sc.from
+	s.prepare(m, dm)
 	sum := 0.0
 	for i, o := range set {
-		sum += s.drcTotal(m, o, rm, &res[i]) + s.drcTotal(o, m, &res[i], rm)
+		there, back := s.pairDRC(m, o, dm, &sides[i])
+		sum += there + back
 	}
-	residencyPool.Put(sc)
+	pairPool.Put(sc)
 	return sum / float64(2*len(set))
-}
-
-// residencies computes the resident set of every mapping, once.
-func (s *Space) residencies(maps []*Mapping) []residency {
-	res := make([]residency, len(maps))
-	for i, m := range maps {
-		s.residencyOf(m, &res[i])
-	}
-	return res
 }

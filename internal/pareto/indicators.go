@@ -32,40 +32,6 @@ func IGD(front, ref [][]float64) float64 {
 	return sum / float64(len(ref))
 }
 
-// Spread returns a distribution-uniformity indicator: the coefficient
-// of variation of nearest-neighbour distances within the front. 0
-// means perfectly even spacing; larger values mean clustered points
-// with gaps. Fronts with fewer than 3 points return 0.
-func Spread(front [][]float64) float64 {
-	n := len(front)
-	if n < 3 {
-		return 0
-	}
-	nn := make([]float64, n)
-	for i := range front {
-		best := math.Inf(1)
-		for j := range front {
-			if i != j {
-				best = math.Min(best, dist(front[i], front[j]))
-			}
-		}
-		nn[i] = best
-	}
-	mean := 0.0
-	for _, d := range nn {
-		mean += d
-	}
-	mean /= float64(n)
-	if mean == 0 {
-		return 0
-	}
-	varSum := 0.0
-	for _, d := range nn {
-		varSum += (d - mean) * (d - mean)
-	}
-	return math.Sqrt(varSum/float64(n)) / mean
-}
-
 // Coverage returns Zitzler's C(A,B): the fraction of points in b that
 // are weakly dominated by (dominated by or equal to) at least one
 // point in a. C(A,B)=1 means A entirely covers B; note C is not

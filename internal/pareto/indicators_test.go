@@ -56,23 +56,6 @@ func TestIGDImprovesWithBetterFront(t *testing.T) {
 	}
 }
 
-func TestSpreadUniformVsClustered(t *testing.T) {
-	uniform := [][]float64{{0, 4}, {1, 3}, {2, 2}, {3, 1}, {4, 0}}
-	if got := Spread(uniform); got > 1e-9 {
-		t.Errorf("uniform spacing spread = %v, want ~0", got)
-	}
-	clustered := [][]float64{{0, 4}, {0.05, 3.95}, {0.1, 3.9}, {3.9, 0.1}, {4, 0}}
-	if Spread(clustered) <= Spread(uniform) {
-		t.Error("clustered front should have larger spread")
-	}
-}
-
-func TestSpreadSmallFronts(t *testing.T) {
-	if Spread(nil) != 0 || Spread([][]float64{{1, 2}, {3, 4}}) != 0 {
-		t.Error("tiny fronts should report spread 0")
-	}
-}
-
 func TestCoverage(t *testing.T) {
 	a := [][]float64{{0, 0}}
 	b := [][]float64{{1, 1}, {2, 2}}

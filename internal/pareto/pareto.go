@@ -244,41 +244,6 @@ func Contribution(points [][]float64, ref []float64) []float64 {
 	return contrib
 }
 
-// Fitness implements the constraint-aware hyper-volume fitness of the
-// paper's Figure 4a for a single point: a feasible point (inside the
-// reference box) scores the positive volume it sweeps to the reference
-// point; an infeasible point scores the negative volume of the box
-// spanned between the reference point and the point's clipped excess.
-func Fitness(point, ref []float64) float64 {
-	if len(point) != len(ref) {
-		panic(fmt.Sprintf("pareto: point dim %d != ref dim %d", len(point), len(ref)))
-	}
-	feasible := true
-	for i := range point {
-		if point[i] > ref[i] {
-			feasible = false
-			break
-		}
-	}
-	if feasible {
-		v := 1.0
-		for i := range point {
-			v *= ref[i] - point[i]
-		}
-		return v
-	}
-	// Negative fitness: volume between R and the point in the violated
-	// dimensions, so deeper violations score worse (red areas in
-	// Figure 4a).
-	v := 1.0
-	for i := range point {
-		if point[i] > ref[i] {
-			v *= point[i] - ref[i]
-		}
-	}
-	return -v
-}
-
 func equal(a, b []float64) bool {
 	for i := range a {
 		if a[i] != b[i] {

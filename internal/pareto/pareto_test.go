@@ -222,25 +222,6 @@ func TestContribution(t *testing.T) {
 	}
 }
 
-func TestFitnessFeasibleVsInfeasible(t *testing.T) {
-	ref := []float64{4, 4}
-	if got := Fitness([]float64{2, 2}, ref); got != 4 {
-		t.Errorf("feasible fitness = %v, want 4", got)
-	}
-	// One dimension violated: negative area of the excess.
-	if got := Fitness([]float64{6, 2}, ref); got != -2 {
-		t.Errorf("infeasible fitness = %v, want -2", got)
-	}
-	// Both violated: product of excesses, negative.
-	if got := Fitness([]float64{6, 5}, ref); got != -2 {
-		t.Errorf("doubly infeasible fitness = %v, want -2", got)
-	}
-	// Deeper violation scores worse.
-	if Fitness([]float64{8, 2}, ref) >= Fitness([]float64{5, 2}, ref) {
-		t.Error("deeper violation should score worse")
-	}
-}
-
 func TestQuickNonDominatedCorrect(t *testing.T) {
 	r := rng.New(3)
 	f := func(n uint8) bool {

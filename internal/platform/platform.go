@@ -15,11 +15,7 @@
 // bitstream into a PRR incurs reconfiguration cost (Section 3.5).
 package platform
 
-import (
-	"encoding/json"
-	"fmt"
-	"os"
-)
+import "fmt"
 
 // Kind distinguishes the physical nature of a processing element.
 type Kind int
@@ -238,32 +234,4 @@ func (p *Platform) BinaryMigrationMs(binaryKB int) float64 {
 // bitstream of the given size through the configuration port.
 func (p *Platform) BitstreamLoadMs(bitstreamKB int) float64 {
 	return float64(bitstreamKB) / p.ICAPKBps
-}
-
-// MarshalJSON/WriteFile round-trip the platform description so
-// experiment configurations can be stored alongside results.
-
-// WriteFile writes the platform as indented JSON.
-func (p *Platform) WriteFile(path string) error {
-	data, err := json.MarshalIndent(p, "", "  ")
-	if err != nil {
-		return fmt.Errorf("platform: marshal %q: %w", p.Name, err)
-	}
-	return os.WriteFile(path, data, 0o644)
-}
-
-// ReadFile loads a platform from JSON and validates it.
-func ReadFile(path string) (*Platform, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var p Platform
-	if err := json.Unmarshal(data, &p); err != nil {
-		return nil, fmt.Errorf("platform: parse %s: %w", path, err)
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return &p, nil
 }

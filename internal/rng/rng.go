@@ -149,32 +149,3 @@ func (s *Source) BivariateNormal(mx, my, sx, sy, rho float64) (float64, float64)
 	y := my + sy*(rho*z1+math.Sqrt(1-rho*rho)*z2)
 	return x, y
 }
-
-// Choice returns a random index in [0,len(weights)) with probability
-// proportional to weights[i]. All weights must be non-negative and at
-// least one must be positive.
-func (s *Source) Choice(weights []float64) int {
-	total := 0.0
-	for _, w := range weights {
-		if w < 0 {
-			panic("rng: Choice with negative weight")
-		}
-		total += w
-	}
-	if total <= 0 {
-		panic("rng: Choice with zero total weight")
-	}
-	x := s.r.Float64() * total
-	for i, w := range weights {
-		x -= w
-		if x < 0 {
-			return i
-		}
-	}
-	return len(weights) - 1
-}
-
-// Shuffle permutes xs in place.
-func Shuffle[T any](s *Source, xs []T) {
-	s.r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-}

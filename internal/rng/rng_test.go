@@ -209,35 +209,6 @@ func TestBivariateNormalMeans(t *testing.T) {
 	}
 }
 
-func TestChoiceProportions(t *testing.T) {
-	s := New(14)
-	counts := [3]int{}
-	const n = 90000
-	for i := 0; i < n; i++ {
-		counts[s.Choice([]float64{1, 2, 3})]++
-	}
-	for i, want := range []float64{n / 6.0, n / 3.0, n / 2.0} {
-		if math.Abs(float64(counts[i])-want) > 0.05*n {
-			t.Errorf("Choice index %d drawn %d times, want ~%v", i, counts[i], want)
-		}
-	}
-}
-
-func TestChoiceZeroWeightNeverChosen(t *testing.T) {
-	s := New(15)
-	for i := 0; i < 5000; i++ {
-		if idx := s.Choice([]float64{0, 1, 0}); idx != 1 {
-			t.Fatalf("Choice picked zero-weight index %d", idx)
-		}
-	}
-}
-
-func TestChoicePanics(t *testing.T) {
-	s := New(16)
-	assertPanics(t, "negative weight", func() { s.Choice([]float64{1, -1}) })
-	assertPanics(t, "zero total", func() { s.Choice([]float64{0, 0}) })
-}
-
 func TestPanicsOnBadArgs(t *testing.T) {
 	s := New(17)
 	assertPanics(t, "Range", func() { s.Range(2, 1) })
@@ -257,22 +228,6 @@ func assertPanics(t *testing.T, name string, f func()) {
 		}
 	}()
 	f()
-}
-
-func TestShuffleIsPermutation(t *testing.T) {
-	s := New(18)
-	xs := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	Shuffle(s, xs)
-	seen := map[int]bool{}
-	for _, v := range xs {
-		if seen[v] {
-			t.Fatalf("duplicate %d after shuffle", v)
-		}
-		seen[v] = true
-	}
-	if len(seen) != 10 {
-		t.Fatalf("shuffle lost elements: %v", xs)
-	}
 }
 
 func TestPermIsPermutation(t *testing.T) {
@@ -314,31 +269,6 @@ func TestQuickWeibullPositive(t *testing.T) {
 		eta := 0.1 + float64(e)
 		beta := 0.1 + float64(b%8)
 		return s.Weibull(eta, beta) > 0
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: Choice always returns an in-range index for arbitrary
-// positive weight vectors.
-func TestQuickChoiceInRange(t *testing.T) {
-	s := New(22)
-	f := func(ws []uint8) bool {
-		if len(ws) == 0 {
-			return true
-		}
-		weights := make([]float64, len(ws))
-		total := 0.0
-		for i, w := range ws {
-			weights[i] = float64(w)
-			total += float64(w)
-		}
-		if total == 0 {
-			return true
-		}
-		idx := s.Choice(weights)
-		return idx >= 0 && idx < len(weights) && weights[idx] > 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
