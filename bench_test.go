@@ -523,6 +523,38 @@ func BenchmarkDecide(b *testing.B) {
 	}
 }
 
+// BenchmarkDecideLargeDB measures the decision hot path on a 500-point
+// database — the size perfbench's serve-batch serves — with
+// TriggerAlways, so every event runs the feasibility filter and RET
+// scoring: uRA, and AuRA at gamma 0.8 with a pretrained agent.
+func BenchmarkDecideLargeDB(b *testing.B) {
+	db, space := benchBigDB(b, 500)
+	mat := mapping.NewDRCMatrix(space, db.Mappings())
+	model := runtime.ModelFromDatabase(db)
+	run := func(b *testing.B, gamma float64) {
+		src := rng.New(9)
+		p := runtime.ManagerParams{DB: db, Space: space, Matrix: mat, PRC: 0.5, Trigger: runtime.TriggerAlways}
+		if gamma > 0 {
+			p.Agent = runtime.NewAgentForDB(db, gamma, 0)
+			if err := p.Agent.Pretrain(runtime.Params{DB: db, Space: space, Matrix: mat, PRC: 0.5,
+				Trigger: runtime.TriggerOnViolation}, 2e4, 17); err != nil {
+				b.Fatal(err)
+			}
+		}
+		mgr, err := runtime.NewManager(p, model.Sample(src))
+		if err != nil {
+			b.Fatal(err)
+		}
+		stream := model.Stream()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			mgr.OnQoSChange(stream.Next(src))
+		}
+	}
+	b.Run("ura", func(b *testing.B) { run(b, 0) })
+	b.Run("aura", func(b *testing.B) { run(b, 0.8) })
+}
+
 // BenchmarkShadowDecide measures Continuous ReD's dual-serve overhead
 // on the registry decide path: the same N=80 database and event model
 // as BenchmarkDecide, once without a candidate (plain) and once with a
@@ -894,6 +926,42 @@ func BenchmarkDecisionJSON(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkBatchResponseDecode measures the client side of a binary
+// batch answer: fleet.DecodeBatchResponse over 256 decisions into a
+// fresh result slice of that capacity, as client.DecideBatch decodes.
+// Every fourth decision reconfigures with a plan of 40 to 160 actions
+// (about 100 on average, as serve-single's planful answers carry); the
+// rest stay put without one.
+func BenchmarkBatchResponseDecode(b *testing.B) {
+	kinds := []string{"copy-binary", "load-bitstream", "set-clr", "reorder"}
+	results := make([]fleet.BatchResultJSON, 256)
+	for n := range results {
+		d := &fleet.DecisionJSON{Device: fmt.Sprintf("dev-%06d", n), Seq: uint64(n + 1), From: n % 97, To: n % 97}
+		if n%4 == 0 {
+			d.To, d.Reconfigured = (n+13)%97, true
+			for i := 0; i < 40+n%121; i++ {
+				a := fleet.ActionJSON{Kind: kinds[i%len(kinds)], Task: i % 40, PE: i % 6, PRR: -1, Bitstream: -1,
+					CostMs: 0.29 + 0.0137*float64(i)}
+				d.Plan = append(d.Plan, a)
+				d.CostMs += a.CostMs
+			}
+		}
+		results[n] = fleet.BatchResultJSON{Status: http.StatusOK, Decision: d}
+	}
+	body, err := fleet.AppendBatchResponse(nil, results)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := fleet.DecodeBatchResponse(body, make([]fleet.BatchResultJSON, 0, len(results))); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -782,6 +782,10 @@ func (c *Client) DecideBatch(ctx context.Context, events []fleet.BatchEventJSON)
 		}
 	}
 	var results []fleet.BatchResultJSON
+	if c.binary {
+		// One result per event: the decoder fills this without regrowing.
+		results = make([]fleet.BatchResultJSON, 0, len(events))
+	}
 	cl.handle = func(data []byte) error {
 		var err error
 		if c.binary {

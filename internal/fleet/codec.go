@@ -438,6 +438,12 @@ func (r *binReader) decision(d *DecisionJSON) (*DecisionJSON, error) {
 	if err := r.grow(int(planLen), minAction); err != nil {
 		return nil, err
 	}
+	// Size the plan once: grow has bounded planLen by the bytes left, so
+	// even a forged length allocates at most sizeof(ActionJSON)/minAction
+	// (≈2.24) times the body.
+	if cap(d.Plan) < int(planLen) {
+		d.Plan = make([]ActionJSON, 0, planLen)
+	}
 	for j := 0; j < int(planLen); j++ {
 		var a ActionJSON
 		kb, err := r.u8()

@@ -201,6 +201,62 @@ func TestBinaryCodecRejects(t *testing.T) {
 	})
 }
 
+// TestBatchResponsePlanSizing decodes a response whose plans hold 0, 1,
+// 103 and 500 actions: every plan is sized once from its length (cap
+// equals len), so decoding costs one allocation per non-empty plan
+// beyond what the same decisions cost without plans.
+func TestBatchResponsePlanSizing(t *testing.T) {
+	sizes := []int{0, 1, 103, 500}
+	var planful, planless []BatchResultJSON
+	nonEmpty := 0
+	for i, n := range sizes {
+		d := syntheticDecision(n)
+		d.Seq = uint64(i + 1)
+		bare := d
+		bare.Plan = nil
+		planful = append(planful, BatchResultJSON{Status: 200, Decision: &d})
+		planless = append(planless, BatchResultJSON{Status: 200, Decision: &bare})
+		if n > 0 {
+			nonEmpty++
+		}
+	}
+	body, err := AppendBatchResponse(nil, planful)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeBatchResponse(body, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, planful) {
+		t.Fatal("decoded response differs from the encoded one")
+	}
+	for i, res := range got {
+		if p := res.Decision.Plan; cap(p) != len(p) {
+			t.Errorf("plan of %d actions decoded with capacity %d", len(p), cap(p))
+		} else if len(p) != sizes[i] {
+			t.Errorf("result %d: plan of %d actions, want %d", i, len(p), sizes[i])
+		}
+	}
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	bareBody, err := AppendBatchResponse(nil, planless)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decodeAllocs := func(data []byte) float64 {
+		return testing.AllocsPerRun(50, func() {
+			if _, err := DecodeBatchResponse(data, make([]BatchResultJSON, 0, len(sizes))); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if extra := decodeAllocs(body) - decodeAllocs(bareBody); extra != float64(nonEmpty) {
+		t.Errorf("plans cost %v allocations, want one per non-empty plan (%d)", extra, nonEmpty)
+	}
+}
+
 // FuzzBinaryCodec feeds arbitrary bytes to both decoders: they must
 // never panic, and any input that decodes must re-encode to the exact
 // same bytes (the canonical-encoding property).

@@ -384,3 +384,77 @@ func TestDecideDirectCallerNoTrace(t *testing.T) {
 		t.Fatalf("direct call minted trace %q mid-stack; want empty", entries[0].TraceID)
 	}
 }
+
+// TestRequestDurationHistogram requires one latency observation per
+// routed request: after register, qos and decide_batch traffic, each
+// endpoint's clr_http_request_duration_seconds_count equals its
+// clr_http_requests_total.
+func TestRequestDurationHistogram(t *testing.T) {
+	f := getFixture(t)
+	_, base := bootServer(t)
+	// One keep-alive connection used in sequence, every body read to
+	// the end: the server reads a connection's next request only once
+	// the previous handler, and the middleware observing it, returned,
+	// so the scrape below follows every observation it checks.
+	client := &http.Client{Transport: &http.Transport{MaxConnsPerHost: 1}}
+	defer client.CloseIdleConnections()
+	boot := looseSpec(f.red)
+	script := deviceScript(f.red, 77, 5)
+	var events []BatchEventJSON
+	for d := 0; d < 2; d++ {
+		id := fmt.Sprintf("lat-%d", d)
+		reg, err := json.Marshal(RegisterRequest{ID: id, Database: "red", PRC: 0.5,
+			Initial: QoSSpecJSON{SMaxMs: boot.SMaxMs, FMin: boot.FMin}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if status, raw, err := postRaw(client, base+"/v1/devices", "application/json", reg); err != nil || status != http.StatusCreated {
+			t.Fatalf("register %s: status %d, %v (%s)", id, status, err, raw)
+		}
+		for i, spec := range script {
+			body, err := json.Marshal(QoSRequest{QoSSpecJSON: QoSSpecJSON{SMaxMs: spec.SMaxMs, FMin: spec.FMin}, Seq: uint64(i + 1)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if status, raw, err := postRaw(client, base+"/v1/devices/"+id+"/qos", "application/json", body); err != nil || status != http.StatusOK {
+				t.Fatalf("qos %s: status %d, %v (%s)", id, status, err, raw)
+			}
+			events = append(events, BatchEventJSON{Device: id, Seq: uint64(len(script) + i + 1),
+				QoSSpecJSON: QoSSpecJSON{SMaxMs: spec.SMaxMs, FMin: spec.FMin}})
+		}
+	}
+	body, err := AppendBatchRequest(nil, events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status, raw, err := postRaw(client, base+"/v1/devices:decide-batch", BinContentType, body); err != nil || status != http.StatusOK {
+		t.Fatalf("decide_batch: status %d, %v (%s)", status, err, raw)
+	}
+
+	resp, err := client.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sample := func(series string) string {
+		for _, line := range strings.Split(string(raw), "\n") {
+			if v, ok := strings.CutPrefix(line, series+" "); ok {
+				return v
+			}
+		}
+		t.Fatalf("/metrics lacks %s", series)
+		return ""
+	}
+	for _, ep := range []struct{ name, want string }{{"register", "2"}, {"qos", "10"}, {"decide_batch", "1"}} {
+		label := fmt.Sprintf(`{endpoint=%q}`, ep.name)
+		requests := sample("clr_http_requests_total" + label)
+		observed := sample("clr_http_request_duration_seconds_count" + label)
+		if requests != ep.want || observed != requests {
+			t.Errorf("%s: %s requests, %s latency observations, want %s of each", ep.name, requests, observed, ep.want)
+		}
+	}
+}

@@ -73,7 +73,6 @@ type Server struct {
 	draining  atomic.Bool
 	handler   http.Handler
 	httpSrv   *http.Server
-	reqCount  map[string]*metrics.Counter
 
 	batchEvents *metrics.Counter
 }
@@ -95,7 +94,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		grace:     cfg.ShutdownGrace,
 		decideTO:  cfg.DecideTimeout,
 		readyFrac: cfg.ReadyMaxDegraded,
-		reqCount:  make(map[string]*metrics.Counter),
 	}
 	if s.log == nil {
 		s.log = slog.Default()
@@ -137,14 +135,15 @@ func (s *Server) Wrap(mw func(http.Handler) http.Handler) {
 }
 
 // buildMux wires the v1 routes, each wrapped with request accounting
-// and logging.
+// (a counter and a latency histogram per endpoint) and logging.
 func (s *Server) buildMux() http.Handler {
 	mux := http.NewServeMux()
 	route := func(pattern, name string, h http.HandlerFunc) {
 		c := s.reg.met.Counter("clr_http_requests_total",
 			"Requests per endpoint.", "endpoint", name)
-		s.reqCount[name] = c
-		mux.Handle(pattern, s.wrap(name, c, h))
+		d := s.reg.met.Histogram("clr_http_request_duration_seconds",
+			"Request handling latency per endpoint, from routing to the handler's return.", nil, "endpoint", name)
+		mux.Handle(pattern, s.wrap(name, c, d, h))
 	}
 	s.batchEvents = s.reg.met.Counter("clr_fleet_batch_events_total",
 		"QoS events received via the batch decide endpoint.")
@@ -178,12 +177,12 @@ func (w *statusWriter) WriteHeader(code int) {
 }
 
 // wrap applies the per-endpoint middleware: trace propagation, body
-// cap, request counter, structured log line. This is the service's
+// cap, request counter, latency histogram, structured log line. This is the service's
 // trace edge: a valid X-Clr-Trace-Id header is adopted (so client
 // retries and multi-hop calls correlate), anything else is replaced
 // by a minted ID; the ID rides the request context from here and is
 // echoed back in the response header.
-func (s *Server) wrap(name string, c *metrics.Counter, h http.HandlerFunc) http.Handler {
+func (s *Server) wrap(name string, c *metrics.Counter, dur *metrics.Histogram, h http.HandlerFunc) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		c.Inc()
 		if r.Body != nil {
@@ -198,12 +197,14 @@ func (s *Server) wrap(name string, c *metrics.Counter, h http.HandlerFunc) http.
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		start := time.Now()
 		h(sw, r)
+		elapsed := time.Since(start)
+		dur.Observe(elapsed.Seconds())
 		s.log.InfoContext(r.Context(), "request",
 			"endpoint", name,
 			"method", r.Method,
 			"path", r.URL.Path,
 			"status", sw.status,
-			"duration_us", time.Since(start).Microseconds(),
+			"duration_us", elapsed.Microseconds(),
 			"remote", r.RemoteAddr,
 		)
 	})

@@ -606,7 +606,8 @@ func TestKernelHandBuiltCases(t *testing.T) {
 	}
 	for _, kc := range cases {
 		n := len(kc.ids)
-		ix := &Index{ids: kc.ids, ms: make([]float64, n), rel: kc.rel, en: kc.en}
+		ix := newRankIndex(kc.ids, make([]float64, n), kc.rel, kc.en)
+		fs, _ := ix.filter(QoSSpec{FMin: kc.fmin})
 		var ag *Agent
 		if kc.vr != nil {
 			ag = &Agent{Gamma: 0.8, VR: kc.vr, VD: kc.vd}
@@ -631,7 +632,7 @@ func TestKernelHandBuiltCases(t *testing.T) {
 		}
 		for _, prc := range []float64{0, 0.25, 0.5, 1} {
 			wantTo, wantScore := refPick(feas, perf, cost, make([]float64, len(feas)), make([]float64, len(feas)), prc, kc.cur)
-			gotTo, gotScore := ix.selectRET(kc.row, kc.cur, n, kc.fmin, prc, ag)
+			gotTo, gotScore := ix.selectRET(kc.row, kc.cur, fs, prc, ag)
 			if gotTo != wantTo || math.Float64bits(gotScore) != math.Float64bits(wantScore) {
 				t.Fatalf("%s prc %v: kernel (%d, %v/%#x), reference (%d, %v/%#x)", kc.name, prc,
 					gotTo, gotScore, math.Float64bits(gotScore), wantTo, wantScore, math.Float64bits(wantScore))

@@ -484,7 +484,8 @@ func TestHypervolumePolicyPicksLargestArea(t *testing.T) {
 	// Loose spec: every point feasible; the winner must maximise
 	// (SSpec-S)*(F-FSpec).
 	spec := QoSSpec{SMaxMs: 1e9, FMin: 0}
-	got, gotV := ix.selectHypervolume(ix.Len(), spec)
+	fs, _ := ix.filter(spec)
+	got, gotV := ix.selectHypervolume(fs, spec)
 	bestV := -1.0
 	want := -1
 	for _, i := range feas {

@@ -116,8 +116,10 @@ func (e *Evaluator) Timeline(m *mapping.Mapping, durationsMs []float64) (*Result
 		return nil, fmt.Errorf("schedule: %d durations for %d tasks", len(durationsMs), e.Space.Graph.NumTasks())
 	}
 	for t, d := range durationsMs {
-		if d <= 0 {
-			return nil, fmt.Errorf("schedule: non-positive duration %v for task %d", d, t)
+		// !(d > 0) also catches NaN, which every comparison fails and
+		// the schedule would silently drop from the makespan.
+		if !(d > 0) || math.IsInf(d, 1) {
+			return nil, fmt.Errorf("schedule: duration %v for task %d is not positive and finite", d, t)
 		}
 	}
 	res := &Result{Slots: make([]Slot, len(m.Genes))}

@@ -282,6 +282,48 @@ func TestEvaluateRejectsInvalidMapping(t *testing.T) {
 	}
 }
 
+// TestTimelineRejectsNonFiniteDurations requires Timeline to refuse a
+// duration that is not positive and finite, naming the task, and to
+// accept a positive finite one.
+func TestTimelineRejectsNonFiniteDurations(t *testing.T) {
+	ev := testEvaluator(t, 10)
+	m := ev.Space.Random(rng.New(4))
+	base, err := ev.Evaluate(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		d    float64
+		ok   bool
+	}{
+		{"nan", math.NaN(), false},
+		{"+inf", math.Inf(1), false},
+		{"-inf", math.Inf(-1), false},
+		{"zero", 0, false},
+		{"negative", -1, false},
+		{"positive", 2.5, true},
+	} {
+		durs := make([]float64, len(m.Genes))
+		for i, s := range base.Slots {
+			durs[i] = s.Metrics.AvgExTMs
+		}
+		const task = 3
+		durs[task] = tc.d
+		res, err := ev.Timeline(m, durs)
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("%s: Timeline rejected duration %v: %v", tc.name, tc.d, err)
+		case tc.ok && (math.IsNaN(res.MakespanMs) || math.IsInf(res.MakespanMs, 0)):
+			t.Errorf("%s: makespan %v", tc.name, res.MakespanMs)
+		case !tc.ok && err == nil:
+			t.Errorf("%s: Timeline accepted duration %v (makespan %v)", tc.name, tc.d, res.MakespanMs)
+		case !tc.ok && !strings.Contains(err.Error(), "task 3"):
+			t.Errorf("%s: error %q does not name task %d", tc.name, err, task)
+		}
+	}
+}
+
 func TestMTTFIsMinimum(t *testing.T) {
 	ev, m := chainEvaluator(t)
 	res, err := ev.Evaluate(m)
