@@ -555,6 +555,53 @@ func BenchmarkDecideLargeDB(b *testing.B) {
 	b.Run("aura", func(b *testing.B) { run(b, 0.8) })
 }
 
+// BenchmarkDecideFleet measures the decision hot path with cold
+// per-device state: 1024 managers share one 500-point index, half of
+// them AuRA at gamma 0.8 seeded from one pretrained value table, all
+// with TriggerAlways. Devices are visited as perfbench's serve-batch
+// visits them: 16 groups of 64, four events per device per visit,
+// interleaved across the group. By a device's next visit the other
+// groups have evicted its agent values and the dRC row out of its
+// current point, which BenchmarkDecideLargeDB's one hot manager never
+// shows. One op is one served decision, plan included.
+func BenchmarkDecideFleet(b *testing.B) {
+	const devices, group, events = 1024, 64, 4
+	db, space := benchBigDB(b, 500)
+	ix, err := runtime.NewIndex(db, space, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pre := runtime.NewAgentForDB(db, 0.8, 0)
+	if err := pre.Pretrain(runtime.Params{DB: db, Space: space, Matrix: ix.Matrix(), PRC: 0.5,
+		Trigger: runtime.TriggerOnViolation}, 2e4, 17); err != nil {
+		b.Fatal(err)
+	}
+	prior := pre.Snapshot()
+	model := runtime.ModelFromDatabase(db)
+	src := rng.New(9)
+	mgrs := make([]*runtime.Manager, devices)
+	streams := make([]*runtime.SpecStream, devices)
+	for d := range mgrs {
+		p := runtime.ManagerParams{Index: ix, PRC: 0.5, Trigger: runtime.TriggerAlways}
+		if d%2 == 1 {
+			p.Agent = runtime.NewAgentForDB(db, 0.8, 0)
+			if err := p.Agent.ApplyPrior(prior); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if mgrs[d], err = runtime.NewManager(p, model.Sample(src)); err != nil {
+			b.Fatal(err)
+		}
+		streams[d] = model.Stream()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		call, k := i/(group*events), i%(group*events)
+		d := call%(devices/group)*group + k%group
+		mgrs[d].OnQoSChange(streams[d].Next(src))
+	}
+}
+
 // BenchmarkShadowDecide measures Continuous ReD's dual-serve overhead
 // on the registry decide path: the same N=80 database and event model
 // as BenchmarkDecide, once without a candidate (plain) and once with a

@@ -194,7 +194,11 @@ func NewEvaluator(p *Problem) *Evaluator {
 // Evaluate returns the system metrics of m's schedule, computing them
 // at most once per distinct genome.
 func (e *Evaluator) Evaluate(m *mapping.Mapping) (*schedule.Summary, error) {
-	h := e.hash(m)
+	return e.evaluate(e.hash(m), m)
+}
+
+// evaluate is Evaluate with m's memo key h already computed.
+func (e *Evaluator) evaluate(h uint64, m *mapping.Mapping) (*schedule.Summary, error) {
 	if r, ok := e.memo.Get(h, m); ok {
 		return r, nil
 	}

@@ -204,7 +204,9 @@ func redForSeed(p *Problem, ev *Evaluator, drc *mapping.DRCCache, seed *DesignPo
 	}
 
 	obj := func(m *mapping.Mapping) ([]float64, float64, any) {
-		res, err := ev.Evaluate(m)
+		// One hash keys both memos.
+		h := ev.hash(m)
+		res, err := ev.evaluate(h, m)
 		if err != nil {
 			panic("dse: ReD objective on invalid genome: " + err.Error())
 		}
@@ -218,7 +220,7 @@ func redForSeed(p *Problem, ev *Evaluator, drc *mapping.DRCCache, seed *DesignPo
 		if res.Reliability < fBound {
 			violation += fBound - res.Reliability
 		}
-		avg := drc.AvgDRC(m)
+		avg := drc.AvgDRCHashed(h, m)
 		perf := res.EnergyMJ
 		if p.CSP {
 			perf = res.MakespanMs

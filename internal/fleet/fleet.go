@@ -68,8 +68,8 @@ type NamedDatabase struct {
 	Space *mapping.Space
 
 	// index is the immutable decide index of this database version —
-	// the mappings, the makespan order and the pairwise dRC matrix with
-	// its transition-cost table — built once per version and shared
+	// the mappings, the feasibility rows and the pairwise dRC matrix —
+	// built once per version and shared
 	// read-only by every manager deciding on it (active, shadow,
 	// retained and imported alike), so registering a device costs O(1)
 	// memory in the database size.

@@ -1,7 +1,7 @@
 package fleet
 
 // Pins for the per-version decide index: every manager of one database
-// version shares one index and one transition-cost table, a swap builds
+// version shares one index and one dRC matrix, a swap builds
 // exactly one index, and the decide path neither allocates per decision
 // nor per registered device in proportion to the database size.
 
@@ -42,8 +42,7 @@ func countIndexBuilds(t *testing.T) (count func() int, stop func()) {
 		}
 }
 
-// sameIndex fails unless mgr decides on ix and ix's matrix — and with
-// it the matrix's transition-cost table.
+// sameIndex fails unless mgr decides on ix and ix's matrix.
 func sameIndex(t *testing.T, what string, mgr *runtime.Manager, ix *runtime.Index) {
 	t.Helper()
 	if mgr == nil {

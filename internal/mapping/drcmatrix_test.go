@@ -146,42 +146,6 @@ func TestDRCCacheConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestDRCMatrixCostConcurrent fills the transition-cost table from
-// many goroutines at once, so `go test -race` can certify the lazy row
-// and cell publication; every reader must observe the direct
-// decomposition, on the first call for a pair and on every later one.
-func TestDRCMatrixCostConcurrent(t *testing.T) {
-	s := testSpace(t, 20)
-	ms := randomMappings(s, 12, 43)
-	m := NewDRCMatrix(s, ms)
-	want := make([][]ReconfigCost, len(ms))
-	for i := range ms {
-		want[i] = make([]ReconfigCost, len(ms))
-		for j := range ms {
-			want[i][j] = s.DRC(ms[i], ms[j])
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for rep := 0; rep < 3; rep++ {
-				for k := 0; k < len(ms)*len(ms); k++ {
-					// Each worker walks the pairs from its own offset, so
-					// first fills of a row and of a cell race.
-					i, j := (k/len(ms)+w)%len(ms), (k+w)%len(ms)
-					if got := m.Cost(i, j); got != want[i][j] {
-						t.Errorf("Cost(%d,%d) = %+v, direct DRC = %+v", i, j, got, want[i][j])
-						return
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
 // TestDiffStableAcrossCalls guards the pooled-scratch rewrite of Diff:
 // repeated diffs of the same pair must produce identical plans (the
 // pool must never leak state between calls).

@@ -76,9 +76,8 @@ type ManagerParams struct {
 	Space *mapping.Space
 	// Matrix, when non-nil, is the precomputed pairwise dRC table for
 	// DB. A fleet of managers on the same database should share one
-	// matrix (see mapping.NewDRCMatrix) — and with it the matrix's
-	// transition-cost table; nil builds a private one, which costs
-	// |DB|^2 dRC computations per manager.
+	// matrix (see mapping.NewDRCMatrix); nil builds a private one, which
+	// costs |DB|^2 dRC computations per manager.
 	Matrix *mapping.DRCMatrix
 	// PRC is the user modulation parameter pRC in [0,1].
 	PRC float64
@@ -162,9 +161,8 @@ func (m *Manager) OnQoSChangeObserved(spec QoSSpec, rec StageRecorder) (Decision
 	d := Decision{From: m.cur, To: next, Violated: violated}
 	if next != m.cur {
 		d.Reconfigured = true
-		d.Cost = ix.mat.Cost(m.cur, next)
 		endSwitch := startStage(rec, StageSwitch)
-		d.Plan = ix.space.Diff(ix.maps[m.cur], ix.maps[next])
+		d.Cost, d.Plan = ix.space.Transition(ix.maps[m.cur], ix.maps[next])
 		endSwitch()
 	}
 	m.advance(next, d.Cost.Total(), rec)
@@ -173,8 +171,9 @@ func (m *Manager) OnQoSChangeObserved(spec QoSSpec, rec StageRecorder) (Decision
 
 // Advance reacts to a new specification exactly as OnQoSChange does —
 // the same choice, agent update and event clock — but returns only the
-// chosen point: it builds neither the plan nor the cost decomposition.
-// Shadow scoring, which compares choices and discards everything else,
+// chosen point: it builds neither the plan nor the cost decomposition,
+// and an agent learns the transition's dRC from the matrix. Shadow
+// scoring, which compares choices and discards everything else,
 // decides through it.
 func (m *Manager) Advance(spec QoSSpec) int {
 	m.mu.Lock()
@@ -182,9 +181,9 @@ func (m *Manager) Advance(spec QoSSpec) int {
 	next, _, _ := m.d.decide(m.cur, spec, nil)
 	drc := 0.0
 	if next != m.cur && m.d.agent != nil {
-		// The agent learns the decomposition's total, exactly as
-		// OnQoSChange teaches it; a uRA manager needs no cost at all.
-		drc = m.d.ix.mat.Cost(m.cur, next).Total()
+		// The matrix total is the decomposition's total bit for bit,
+		// which OnQoSChange teaches; a uRA manager needs no cost at all.
+		drc = m.d.ix.mat.Total(m.cur, next)
 	}
 	m.advance(next, drc, nil)
 	return next

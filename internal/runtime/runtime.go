@@ -206,8 +206,7 @@ type Params struct {
 	// table for DB (mapping.NewDRCMatrix over DB.Mappings()). It must
 	// cover exactly DB's points. Nil computes the table at simulation
 	// start; sharing one matrix across runs (or across a fleet of
-	// managers on the same database) amortises that precomputation and
-	// the matrix's transition-cost table.
+	// managers on the same database) amortises that precomputation.
 	Matrix *mapping.DRCMatrix
 	// QoS generates specifications; zero value selects
 	// ModelFromDatabase(DB).
@@ -377,21 +376,21 @@ func Simulate(p Params) (*Metrics, error) {
 			Point:     next,
 			Violated:  violated,
 		}
-		var cost mapping.ReconfigCost
+		drc := 0.0
 		if next != cur {
-			cost = ix.mat.Cost(cur, next)
+			drc = ix.mat.Total(cur, next)
 			met.Reconfigs++
-			met.TotalDRC += cost.Total()
-			met.TotalMigrations += cost.MigratedTasks
-			if cost.Total() > met.MaxDRC {
-				met.MaxDRC = cost.Total()
+			met.TotalDRC += drc
+			met.TotalMigrations += mapping.MigratedTasks(ix.maps[cur], ix.maps[next])
+			if drc > met.MaxDRC {
+				met.MaxDRC = drc
 			}
-			entry.DRC = cost.Total()
+			entry.DRC = drc
 			entry.Reconfigured = true
 			cur = next
 		}
 		if p.Agent != nil {
-			p.Agent.step(cur, -p.DB.Points[cur].EnergyMJ, cost.Total(), t)
+			p.Agent.step(cur, -p.DB.Points[cur].EnergyMJ, drc, t)
 		}
 		if violated {
 			met.ViolationEvents++

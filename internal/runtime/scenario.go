@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math"
 
+	"clrdse/internal/mapping"
 	"clrdse/internal/rng"
 )
 
@@ -304,19 +305,19 @@ func SimulateScenario(p ScenarioParams) (*ScenarioMetrics, error) {
 			met.FeasibilityChecks += inspections(ix.Len(), detail)
 		}
 		if next != cur {
-			cost := ix.mat.Cost(cur, next)
+			drc := ix.mat.Total(cur, next)
 			met.Reconfigs++
-			met.TotalDRC += cost.Total()
-			met.TotalMigrations += cost.MigratedTasks
-			if cost.Total() > met.MaxDRC {
-				met.MaxDRC = cost.Total()
+			met.TotalDRC += drc
+			met.TotalMigrations += mapping.MigratedTasks(ix.maps[cur], ix.maps[next])
+			if drc > met.MaxDRC {
+				met.MaxDRC = drc
 			}
 			rm := &met.PerRegime[regimeIdx[reg.Name]]
 			rm.Reconfigs++
-			rm.TotalDRC += cost.Total()
+			rm.TotalDRC += drc
 			cur = next
 			if pp.Agent != nil {
-				pp.Agent.step(cur, -pp.DB.Points[cur].EnergyMJ, cost.Total(), t)
+				pp.Agent.step(cur, -pp.DB.Points[cur].EnergyMJ, drc, t)
 			}
 		} else if pp.Agent != nil {
 			pp.Agent.step(cur, -pp.DB.Points[cur].EnergyMJ, 0, t)
