@@ -1012,6 +1012,62 @@ func BenchmarkBatchResponseDecode(b *testing.B) {
 	}
 }
 
+// batchEncodeOutcomes builds 256 registry outcomes in serve-batch's
+// mix, as the batch endpoint hands them to its encoder: about 27% of
+// the decisions reconfigure (serve-batch's runtime.reconfig_share reads
+// 0.273) with a plan of 40 to 160 actions, a quarter of each kind in
+// Transition's order (bitstream loads, binary copies, then the free
+// steps); the rest stay put without one.
+func batchEncodeOutcomes() ([]fleet.BatchEvent, []fleet.BatchOutcome) {
+	order := [4]mapping.ActionKind{mapping.ActionLoadBitstream, mapping.ActionCopyBinary, mapping.ActionSetCLR, mapping.ActionReorder}
+	events := make([]fleet.BatchEvent, 256)
+	outs := make([]fleet.BatchOutcome, 256)
+	for n := range events {
+		events[n] = fleet.BatchEvent{Device: fmt.Sprintf("dev-%06d", n), Seq: uint64(n + 1)}
+		d := runtime.Decision{From: n % 97, To: n % 97}
+		if n%11 < 3 {
+			d.To, d.Reconfigured = (n+13)%97, true
+			size := 40 + n*37%121
+			for i := 0; i < size; i++ {
+				a := mapping.Action{Kind: order[4*i/size], Task: i % 40, PE: -1, PRR: -1, Bitstream: -1}
+				switch a.Kind {
+				case mapping.ActionLoadBitstream:
+					a.Task, a.PE, a.PRR, a.Bitstream, a.CostMs = -1, 4+i%2, i%2, i%23, 1.7
+					d.Cost.BitstreamMs += a.CostMs
+					d.Cost.ReloadedPRRs++
+				case mapping.ActionCopyBinary:
+					a.PE, a.CostMs = i%6, 0.29+0.0137*float64(i)
+					d.Cost.BinaryMigrationMs += a.CostMs
+					d.Cost.MigratedTasks++
+				}
+				d.Plan = append(d.Plan, a)
+			}
+		}
+		outs[n] = fleet.BatchOutcome{Out: fleet.DecideOutcome{Decision: d}}
+	}
+	return events, outs
+}
+
+// BenchmarkBatchResponseEncode measures the server side of a binary
+// batch answer: fleet.AppendBatchOutcomes over 256 registry outcomes in
+// serve-batch's mix (see batchEncodeOutcomes) into a reused buffer, as
+// the batch endpoint encodes them.
+func BenchmarkBatchResponseEncode(b *testing.B) {
+	events, outs := batchEncodeOutcomes()
+	buf, err := fleet.AppendBatchOutcomes(nil, events, outs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(buf)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if buf, err = fleet.AppendBatchOutcomes(buf[:0], events, outs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkAblationStorageBudget sweeps the pruning budget of the
 // paper's storage-constraint concern: how much run-time quality a
 // smaller stored database costs.

@@ -7,6 +7,7 @@ package fleet
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"clrdse/internal/mapping"
@@ -25,11 +26,14 @@ func (q QoSSpecJSON) Spec() runtime.QoSSpec {
 	return runtime.QoSSpec{SMaxMs: q.SMaxMs, FMin: q.FMin}
 }
 
+// validate accepts a positive, finite S_SPEC and an F_SPEC in [0,1].
+// The negated comparisons reject NaN, which no JSON body can carry but
+// a CLRB event can.
 func (q QoSSpecJSON) validate() error {
-	if q.SMaxMs <= 0 {
-		return fmt.Errorf("s_max_ms must be positive, got %v", q.SMaxMs)
+	if !(q.SMaxMs > 0) || math.IsInf(q.SMaxMs, 1) {
+		return fmt.Errorf("s_max_ms must be positive and finite, got %v", q.SMaxMs)
 	}
-	if q.FMin < 0 || q.FMin > 1 {
+	if !(q.FMin >= 0 && q.FMin <= 1) {
 		return fmt.Errorf("f_min must be in [0,1], got %v", q.FMin)
 	}
 	return nil

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -536,5 +537,74 @@ func TestDecisionLatencyIncludesSemaphoreWait(t *testing.T) {
 				t.Errorf("recorded %v of decision latency across a %v semaphore wait", got, hold)
 			}
 		})
+	}
+}
+
+// TestBatchNonFiniteSpecAnswers400 sends CLRB events whose specs no
+// JSON body can carry — a NaN or infinite S_SPEC, a NaN F_SPEC — to
+// hypervolume devices, between valid events. Each non-finite slot
+// answers 400 on its own, its neighbours decide, and the server keeps
+// serving: unvalidated, a NaN S_SPEC makes every hypervolume area NaN.
+func TestBatchNonFiniteSpecAnswers400(t *testing.T) {
+	f := getFixture(t)
+	_, base := bootServer(t)
+	client := &http.Client{}
+	loose := looseSpec(f.red)
+	top := math.Inf(-1)
+	for _, p := range f.red.Points {
+		top = max(top, p.Reliability)
+	}
+	for _, dev := range []string{"hv-a", "hv-b"} {
+		req := RegisterRequest{ID: dev, Database: "red", PRC: 0.4, Policy: "hypervolume",
+			Initial: QoSSpecJSON{SMaxMs: loose.SMaxMs, FMin: loose.FMin}}
+		if err := postJSON(client, base+"/v1/devices", req, http.StatusCreated, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	valid := QoSSpecJSON{SMaxMs: loose.SMaxMs, FMin: top}
+	events := []BatchEventJSON{
+		{Device: "hv-a", Seq: 1, QoSSpecJSON: valid},
+		{Device: "hv-a", Seq: 2, QoSSpecJSON: QoSSpecJSON{SMaxMs: math.NaN(), FMin: loose.FMin}},
+		{Device: "hv-b", Seq: 1, QoSSpecJSON: QoSSpecJSON{SMaxMs: math.Inf(1), FMin: top}},
+		{Device: "hv-b", Seq: 2, QoSSpecJSON: QoSSpecJSON{SMaxMs: loose.SMaxMs, FMin: math.NaN()}},
+		{Device: "hv-a", Seq: 3, QoSSpecJSON: QoSSpecJSON{SMaxMs: math.Inf(-1), FMin: loose.FMin}},
+		{Device: "hv-b", Seq: 3, QoSSpecJSON: valid},
+	}
+	wantStatus := []int{200, 400, 400, 400, 400, 200}
+	body, err := AppendBatchRequest(nil, events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	status, data, err := postRaw(client, base+"/v1/devices:decide-batch", BinContentType, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status != http.StatusOK {
+		t.Fatalf("batch status %d: %s", status, data)
+	}
+	results, err := DecodeBatchResponse(data, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != len(events) {
+		t.Fatalf("%d results for %d events", len(results), len(events))
+	}
+	for i, res := range results {
+		switch {
+		case res.Status != wantStatus[i]:
+			t.Errorf("event %d: status %d (%q), want %d", i, res.Status, res.Error, wantStatus[i])
+		case res.Status == http.StatusOK && (res.Decision.Device != events[i].Device || res.Decision.Seq != events[i].Seq):
+			t.Errorf("event %d: decision for %s seq %d", i, res.Decision.Device, res.Decision.Seq)
+		case res.Status == http.StatusBadRequest && !strings.Contains(res.Error, "must be"):
+			t.Errorf("event %d: error %q does not name the bound", i, res.Error)
+		}
+	}
+	resp, err := client.Get(base + "/healthz")
+	if err != nil {
+		t.Fatalf("server stopped serving after the batch: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/healthz answers %d after the batch", resp.StatusCode)
 	}
 }

@@ -38,6 +38,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 const (
@@ -57,9 +58,14 @@ var binMagic = [4]byte{'C', 'L', 'R', 'B'}
 var ErrBinCodec = errors.New("clr-bin codec")
 
 // binActionKinds maps the action-kind byte to ActionJSON.Kind. The
-// byte values match mapping.ActionKind's iota order but are a wire
-// contract of their own: reordering this table is a version bump.
+// byte values match mapping.ActionKind's iota order, so the direct
+// encoder writes a kind as its byte, but they are a wire contract of
+// their own: reordering this table is a version bump.
 var binActionKinds = []string{"copy-binary", "load-bitstream", "set-clr", "reorder"}
+
+// binActionLen is an action record's size: the kind byte, four u32
+// fields and the cost.
+const binActionLen = 1 + 4*4 + 8
 
 func binActionKindByte(kind string) (byte, error) {
 	for i, k := range binActionKinds {
@@ -67,7 +73,11 @@ func binActionKindByte(kind string) (byte, error) {
 			return byte(i), nil
 		}
 	}
-	return 0, fmt.Errorf("%w: unknown action kind %q", ErrBinCodec, kind)
+	return 0, errUnknownActionKind(kind)
+}
+
+func errUnknownActionKind(kind string) error {
+	return fmt.Errorf("%w: unknown action kind %q", ErrBinCodec, kind)
 }
 
 func appendBinHeader(dst []byte, kind byte, count int) []byte {
@@ -107,66 +117,152 @@ func AppendBatchResponse(dst []byte, results []BatchResultJSON) ([]byte, error) 
 	dst = appendBinHeader(dst, binKindResponse, len(results))
 	for i := range results {
 		res := &results[i]
-		if res.Status < 0 || res.Status > math.MaxUint16 {
-			return nil, fmt.Errorf("%w: status %d out of range", ErrBinCodec, res.Status)
-		}
-		dst = binary.BigEndian.AppendUint16(dst, uint16(res.Status))
-		if res.Status == 200 {
-			if res.Decision == nil {
-				return nil, fmt.Errorf("%w: status 200 without decision", ErrBinCodec)
-			}
+		if res.Status != 200 {
 			var err error
-			if dst, err = appendBinDecision(dst, res.Decision); err != nil {
+			if dst, err = appendBinError(dst, res.Status, res.Error); err != nil {
 				return nil, err
 			}
 			continue
 		}
-		if len(res.Error) > math.MaxUint16 {
-			return nil, fmt.Errorf("%w: error %d bytes long", ErrBinCodec, len(res.Error))
+		d := res.Decision
+		if d == nil {
+			return nil, fmt.Errorf("%w: status 200 without decision", ErrBinCodec)
 		}
-		dst = appendBinStr(dst, res.Error)
+		var err error
+		dst, err = appendBinDecision(dst, &binDecisionHead{
+			device: d.Device, seq: d.Seq, from: d.From, to: d.To,
+			flags:  binDecisionFlags(d.Reconfigured, d.Violated, d.Degraded),
+			costMs: d.CostMs, binaryMs: d.BinaryMigrationMs, bitstreamMs: d.BitstreamMs,
+			migrated: d.MigratedTasks, reloaded: d.ReloadedPRRs, planLen: len(d.Plan),
+		})
+		if err != nil {
+			return nil, err
+		}
+		for k := range d.Plan {
+			a := &d.Plan[k]
+			kb, err := binActionKindByte(a.Kind)
+			if err != nil {
+				return nil, err
+			}
+			dst = appendBinAction(dst, kb, a.Task, a.PE, a.PRR, a.Bitstream, a.CostMs)
+		}
 	}
 	return dst, nil
 }
 
-func appendBinDecision(dst []byte, d *DecisionJSON) ([]byte, error) {
-	if len(d.Device) > math.MaxUint16 {
-		return nil, fmt.Errorf("%w: device ID %d bytes long", ErrBinCodec, len(d.Device))
+// AppendBatchOutcomes encodes the batch response to events straight
+// from the registry's outcomes (outs[i] answers events[i]): an error
+// slot answers statusFor(err) with err's text, a decision carries its
+// event's device and seq and the outcome's degraded flag. The bytes
+// are AppendBatchResponse's for the results the JSON path builds from
+// the same outcomes, through the same per-result appenders, with no
+// intermediate DecisionJSON and no kind strings.
+func AppendBatchOutcomes(dst []byte, events []BatchEvent, outs []BatchOutcome) ([]byte, error) {
+	if len(outs) != len(events) {
+		return nil, fmt.Errorf("%w: %d outcomes for %d events", ErrBinCodec, len(outs), len(events))
 	}
-	dst = appendBinStr(dst, d.Device)
-	dst = binary.BigEndian.AppendUint64(dst, d.Seq)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(int32(d.From)))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(int32(d.To)))
-	var flags byte
-	if d.Reconfigured {
-		flags |= 1 << 0
-	}
-	if d.Violated {
-		flags |= 1 << 1
-	}
-	if d.Degraded {
-		flags |= 1 << 2
-	}
-	dst = append(dst, flags)
-	dst = appendBinF64(dst, d.CostMs)
-	dst = appendBinF64(dst, d.BinaryMigrationMs)
-	dst = appendBinF64(dst, d.BitstreamMs)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(int32(d.MigratedTasks)))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(int32(d.ReloadedPRRs)))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(d.Plan)))
-	for _, a := range d.Plan {
-		kb, err := binActionKindByte(a.Kind)
+	dst = appendBinHeader(dst, binKindResponse, len(outs))
+	for i := range outs {
+		o := &outs[i]
+		if o.Err != nil {
+			var err error
+			if dst, err = appendBinError(dst, statusFor(o.Err), o.Err.Error()); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		d := &o.Out.Decision
+		var err error
+		dst, err = appendBinDecision(dst, &binDecisionHead{
+			device: events[i].Device, seq: events[i].Seq, from: d.From, to: d.To,
+			flags:  binDecisionFlags(d.Reconfigured, d.Violated, o.Out.Degraded),
+			costMs: d.Cost.Total(), binaryMs: d.Cost.BinaryMigrationMs, bitstreamMs: d.Cost.BitstreamMs,
+			migrated: d.Cost.MigratedTasks, reloaded: d.Cost.ReloadedPRRs, planLen: len(d.Plan),
+		})
 		if err != nil {
 			return nil, err
 		}
-		dst = append(dst, kb)
-		dst = binary.BigEndian.AppendUint32(dst, uint32(int32(a.Task)))
-		dst = binary.BigEndian.AppendUint32(dst, uint32(int32(a.PE)))
-		dst = binary.BigEndian.AppendUint32(dst, uint32(int32(a.PRR)))
-		dst = binary.BigEndian.AppendUint32(dst, uint32(int32(a.Bitstream)))
-		dst = appendBinF64(dst, a.CostMs)
+		for k := range d.Plan {
+			a := &d.Plan[k]
+			if uint(a.Kind) >= uint(len(binActionKinds)) {
+				return nil, errUnknownActionKind(a.Kind.String())
+			}
+			dst = appendBinAction(dst, byte(a.Kind), a.Task, a.PE, a.PRR, a.Bitstream, a.CostMs)
+		}
 	}
 	return dst, nil
+}
+
+// appendBinError appends a non-200 result: its status and error text.
+func appendBinError(dst []byte, status int, msg string) ([]byte, error) {
+	if status < 0 || status > math.MaxUint16 {
+		return nil, fmt.Errorf("%w: status %d out of range", ErrBinCodec, status)
+	}
+	if len(msg) > math.MaxUint16 {
+		return nil, fmt.Errorf("%w: error %d bytes long", ErrBinCodec, len(msg))
+	}
+	dst = binary.BigEndian.AppendUint16(dst, uint16(status))
+	return appendBinStr(dst, msg), nil
+}
+
+// binDecisionHead is a decision's fields in wire order, up to and
+// including the plan's length: what both encoders hand
+// appendBinDecision.
+type binDecisionHead struct {
+	device                        string
+	seq                           uint64
+	from, to                      int
+	flags                         byte
+	costMs, binaryMs, bitstreamMs float64
+	migrated, reloaded, planLen   int
+}
+
+func binDecisionFlags(reconfigured, violated, degraded bool) byte {
+	var flags byte
+	if reconfigured {
+		flags |= 1 << 0
+	}
+	if violated {
+		flags |= 1 << 1
+	}
+	if degraded {
+		flags |= 1 << 2
+	}
+	return flags
+}
+
+// appendBinDecision appends a 200 result up to its plan: the status,
+// then h. The caller appends the plan's planLen action records.
+func appendBinDecision(dst []byte, h *binDecisionHead) ([]byte, error) {
+	if len(h.device) > math.MaxUint16 {
+		return nil, fmt.Errorf("%w: device ID %d bytes long", ErrBinCodec, len(h.device))
+	}
+	dst = binary.BigEndian.AppendUint16(dst, 200)
+	dst = appendBinStr(dst, h.device)
+	dst = binary.BigEndian.AppendUint64(dst, h.seq)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(int32(h.from)))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(int32(h.to)))
+	dst = append(dst, h.flags)
+	dst = appendBinF64(dst, h.costMs)
+	dst = appendBinF64(dst, h.binaryMs)
+	dst = appendBinF64(dst, h.bitstreamMs)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(int32(h.migrated)))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(int32(h.reloaded)))
+	return binary.BigEndian.AppendUint32(dst, uint32(h.planLen)), nil
+}
+
+// appendBinAction appends one action record of binActionLen bytes.
+func appendBinAction(dst []byte, kind byte, task, pe, prr, bitstream int, costMs float64) []byte {
+	n := len(dst)
+	dst = slices.Grow(dst, binActionLen)
+	b := dst[n : n+binActionLen]
+	b[0] = kind
+	binary.BigEndian.PutUint32(b[1:], uint32(int32(task)))
+	binary.BigEndian.PutUint32(b[5:], uint32(int32(pe)))
+	binary.BigEndian.PutUint32(b[9:], uint32(int32(prr)))
+	binary.BigEndian.PutUint32(b[13:], uint32(int32(bitstream)))
+	binary.BigEndian.PutUint64(b[17:], math.Float64bits(costMs))
+	return dst[:n+binActionLen]
 }
 
 // binReader walks an untrusted buffer with bounds checks; every read
@@ -434,47 +530,33 @@ func (r *binReader) decision(d *DecisionJSON) (*DecisionJSON, error) {
 	if err != nil {
 		return nil, err
 	}
-	const minAction = 1 + 4*4 + 8
-	if err := r.grow(int(planLen), minAction); err != nil {
+	if err := r.grow(int(planLen), binActionLen); err != nil {
 		return nil, err
 	}
-	// Size the plan once: grow has bounded planLen by the bytes left, so
-	// even a forged length allocates at most sizeof(ActionJSON)/minAction
-	// (≈2.24) times the body.
+	// grow has proven the plan's span, so its fixed-size records decode
+	// without a bounds check per field. Size the plan once: a forged
+	// length allocates at most sizeof(ActionJSON)/binActionLen (≈2.24)
+	// times the body.
+	span := r.data[r.off : r.off+int(planLen)*binActionLen]
+	r.off += len(span)
 	if cap(d.Plan) < int(planLen) {
-		d.Plan = make([]ActionJSON, 0, planLen)
+		d.Plan = make([]ActionJSON, planLen)
 	}
-	for j := 0; j < int(planLen); j++ {
-		var a ActionJSON
-		kb, err := r.u8()
-		if err != nil {
-			return nil, err
+	plan := d.Plan[:planLen]
+	for j := range plan {
+		b := span[j*binActionLen : (j+1)*binActionLen]
+		if int(b[0]) >= len(binActionKinds) {
+			return nil, fmt.Errorf("%w: unknown action kind 0x%02x", ErrBinCodec, b[0])
 		}
-		if int(kb) >= len(binActionKinds) {
-			return nil, fmt.Errorf("%w: unknown action kind 0x%02x", ErrBinCodec, kb)
+		plan[j] = ActionJSON{
+			Kind:      binActionKinds[b[0]],
+			Task:      int(int32(binary.BigEndian.Uint32(b[1:]))),
+			PE:        int(int32(binary.BigEndian.Uint32(b[5:]))),
+			PRR:       int(int32(binary.BigEndian.Uint32(b[9:]))),
+			Bitstream: int(int32(binary.BigEndian.Uint32(b[13:]))),
+			CostMs:    math.Float64frombits(binary.BigEndian.Uint64(b[17:])),
 		}
-		a.Kind = binActionKinds[kb]
-		task, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		pe, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		prr, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		bs, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		a.Task, a.PE, a.PRR, a.Bitstream = int(int32(task)), int(int32(pe)), int(int32(prr)), int(int32(bs))
-		if a.CostMs, err = r.f64(); err != nil {
-			return nil, err
-		}
-		d.Plan = append(d.Plan, a)
 	}
+	d.Plan = plan
 	return d, nil
 }

@@ -380,21 +380,47 @@ func (s *Server) handleQoS(w http.ResponseWriter, r *http.Request) {
 const MaxBatchEvents = 8192
 
 // batchScratch is the batch endpoint's pooled request state: decode
-// targets, registry input/output, response structs and the binary
-// encode buffer. Pool-reset rules: every slice is truncated to zero
-// length before reuse; outcome slots are zeroed explicitly (DecideBatch
-// treats a non-nil Err as "pre-failed, skip"); DecisionJSON entries are
-// fully overwritten by decisionJSONInto before they are referenced.
-// The JSON decode target is NOT pooled — encoding/json merges into
-// existing slice elements, which would leak fields between requests.
+// targets, registry input/output, the JSON response structs and the
+// binary encode buffer. Pool-reset rules: every slice is truncated to
+// zero length before reuse; outcome slots are zeroed explicitly
+// (DecideBatch treats a non-nil Err as "pre-failed, skip");
+// DecisionJSON entries are fully overwritten by decisionJSONInto
+// before they are referenced. The JSON decode target is NOT pooled —
+// encoding/json merges into existing slice elements, which would leak
+// fields between requests.
 type batchScratch struct {
 	body    bytes.Buffer      // binary request body
 	events  []BatchEventJSON  // decoded wire events (binary path)
 	fleet   []BatchEvent      // registry input, index-aligned
 	outs    []BatchOutcome    // registry output, index-aligned
-	decs    []DecisionJSON    // per-event response scratch (Plan capacity reuse)
-	results []BatchResultJSON // response body
+	decs    []DecisionJSON    // per-event response scratch (JSON path; Plan capacity reuse)
+	results []BatchResultJSON // response body (JSON path)
 	out     []byte            // binary response encode buffer
+}
+
+// jsonResults converts the registry's outcomes to the JSON response
+// form, outs[i] answering events[i]: an error slot carries
+// statusFor(err) and err's text, a decision its event's device and
+// seq and the outcome's degraded flag. AppendBatchOutcomes encodes the
+// same results without building them.
+func (bs *batchScratch) jsonResults(events []BatchEvent, outs []BatchOutcome) []BatchResultJSON {
+	if cap(bs.decs) < len(outs) {
+		bs.decs = append(bs.decs[:cap(bs.decs)], make([]DecisionJSON, len(outs)-cap(bs.decs))...)
+	}
+	bs.decs = bs.decs[:len(outs)]
+	bs.results = bs.results[:0]
+	for i := range outs {
+		if err := outs[i].Err; err != nil {
+			bs.results = append(bs.results, BatchResultJSON{Status: statusFor(err), Error: err.Error()})
+			continue
+		}
+		dj := &bs.decs[i]
+		decisionJSONInto(dj, events[i].Device, outs[i].Out.Decision)
+		dj.Seq = events[i].Seq
+		dj.Degraded = outs[i].Out.Degraded
+		bs.results = append(bs.results, BatchResultJSON{Status: http.StatusOK, Decision: dj})
+	}
+	return bs.results
 }
 
 var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
@@ -464,25 +490,8 @@ func (s *Server) handleDecideBatch(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	s.reg.DecideBatch(ctx, bs.fleet, bs.outs)
 
-	if cap(bs.decs) < len(evs) {
-		bs.decs = append(bs.decs[:cap(bs.decs)], make([]DecisionJSON, len(evs)-cap(bs.decs))...)
-	}
-	bs.decs = bs.decs[:len(evs)]
-	bs.results = bs.results[:0]
-	for i := range evs {
-		if err := bs.outs[i].Err; err != nil {
-			bs.results = append(bs.results, BatchResultJSON{Status: statusFor(err), Error: err.Error()})
-			continue
-		}
-		dj := &bs.decs[i]
-		decisionJSONInto(dj, evs[i].Device, bs.outs[i].Out.Decision)
-		dj.Seq = evs[i].Seq
-		dj.Degraded = bs.outs[i].Out.Degraded
-		bs.results = append(bs.results, BatchResultJSON{Status: http.StatusOK, Decision: dj})
-	}
-
 	if binWire {
-		out, err := AppendBatchResponse(bs.out[:0], bs.results)
+		out, err := AppendBatchOutcomes(bs.out[:0], bs.fleet, bs.outs)
 		if err != nil {
 			writeError(w, err)
 			return
@@ -495,7 +504,7 @@ func (s *Server) handleDecideBatch(w http.ResponseWriter, r *http.Request) {
 		_, _ = w.Write(out)
 		return
 	}
-	writeJSON(w, http.StatusOK, BatchResponseJSON{Results: bs.results})
+	writeJSON(w, http.StatusOK, BatchResponseJSON{Results: bs.jsonResults(bs.fleet, bs.outs)})
 }
 
 func (s *Server) handleGetDevice(w http.ResponseWriter, r *http.Request) {

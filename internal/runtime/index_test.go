@@ -209,3 +209,41 @@ func TestHypervolumeZeroAreaTie(t *testing.T) {
 		}
 	}
 }
+
+// TestHypervolumeAllAreasNaN pins the hypervolume choice when no
+// feasible area is a number: S_SPEC = +Inf against F_SPEC at the
+// highest stored reliability makes every feasible area (+Inf - S)·0 =
+// NaN, and a NaN S_SPEC makes every area NaN. The lowest feasible ID
+// wins with its NaN area, and a manager served such a spec decides
+// instead of indexing point -1.
+func TestHypervolumeAllAreasNaN(t *testing.T) {
+	kd := getKernelDBs(t)[80]
+	top := math.Inf(-1)
+	for _, p := range kd.db.Points {
+		if p.Reliability > top {
+			top = p.Reliability
+		}
+	}
+	ix, err := NewIndex(kd.db, kd.space, kd.mat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []QoSSpec{{SMaxMs: math.Inf(1), FMin: top}, {SMaxMs: math.NaN(), FMin: 0}} {
+		fs, n := ix.filter(spec)
+		ids := setIDs(fs)
+		if n == 0 {
+			t.Fatalf("spec %+v: no feasible point", spec)
+		}
+		if got, score := ix.selectHypervolume(fs, spec); got != ids[0] || !math.IsNaN(score) {
+			t.Errorf("spec %+v: selectHypervolume = (%d, %v), want (%d, NaN)", spec, got, score, ids[0])
+		}
+		m, err := NewManager(ManagerParams{Index: ix, PRC: 0.5, Trigger: TriggerAlways, Policy: PolicyHypervolume},
+			QoSSpec{SMaxMs: 1e9, FMin: 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := m.OnQoSChange(spec); d.To != ids[0] || d.Violated {
+			t.Errorf("spec %+v: manager chose %d (violated %v), want %d", spec, d.To, d.Violated, ids[0])
+		}
+	}
+}

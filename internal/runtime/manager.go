@@ -162,7 +162,7 @@ func (m *Manager) OnQoSChangeObserved(spec QoSSpec, rec StageRecorder) (Decision
 	if next != m.cur {
 		d.Reconfigured = true
 		endSwitch := startStage(rec, StageSwitch)
-		d.Cost, d.Plan = ix.space.Transition(ix.maps[m.cur], ix.maps[next])
+		d.Cost, d.Plan = ix.res.Transition(m.cur, next)
 		endSwitch()
 	}
 	m.advance(next, d.Cost.Total(), rec)
