@@ -9,6 +9,7 @@ package clr
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -1065,6 +1066,71 @@ func BenchmarkBatchResponseEncode(b *testing.B) {
 		if buf, err = fleet.AppendBatchOutcomes(buf[:0], events, outs); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkRegistryDecideBatch measures serve-batch's server side
+// without HTTP: fleet.Registry.AppendDecideBatch — the batch decide
+// plus the CLRB encode of its answer — over 1024 devices (half AuRA at
+// γ=0.8) on a 500-point database with a candidate proposed, so every
+// event is also shadow-scored. One op is one 256-event call: 64
+// devices, 4 events each, the groups taken in turn. Its allocs/op is
+// the figure to read: one journal entry per event plus a few per call.
+func BenchmarkRegistryDecideBatch(b *testing.B) {
+	const devices, group, perDevice = 1024, 64, 4
+	db, space := benchBigDB(b, 500)
+	reg, err := NewFleetRegistry([]NamedDatabase{{Name: "red", DB: db, Space: space}}, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	model := runtime.ModelFromDatabase(db)
+	src := rng.New(9)
+	ids := make([]string, devices)
+	streams := make([]*runtime.SpecStream, devices)
+	for d := range ids {
+		ids[d] = fmt.Sprintf("dev-%06d", d)
+		p := FleetDeviceParams{ID: ids[d], Database: "red", PRC: []float64{0.25, 0.5, 0.75}[d%3],
+			Trigger: runtime.TriggerAlways, Initial: model.Sample(src)}
+		if d%2 == 1 {
+			p.Gamma = 0.8
+		}
+		if _, err := reg.Register(p); err != nil {
+			b.Fatal(err)
+		}
+		streams[d] = model.Stream()
+	}
+	cand := *db
+	cand.Version = 1
+	if err := reg.ProposeDatabase("red", &cand); err != nil {
+		b.Fatal(err)
+	}
+	events := make([]fleet.BatchEvent, group*perDevice)
+	outs := make([]fleet.BatchOutcome, len(events))
+	seqs := make([]uint64, devices)
+	var buf []byte
+	ctx := context.Background()
+	call := func(c int) {
+		first := c % (devices / group) * group
+		for k := 0; k < perDevice; k++ {
+			for j := 0; j < group; j++ {
+				d := first + j
+				seqs[d]++
+				events[k*group+j] = fleet.BatchEvent{Device: ids[d], Seq: seqs[d], Spec: streams[d].Next(src)}
+			}
+		}
+		clear(outs)
+		if buf, err = reg.AppendDecideBatch(ctx, buf[:0], events, outs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// Every device decides once before timing starts.
+	for c := 0; c < devices/group; c++ {
+		call(c)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		call(i)
 	}
 }
 

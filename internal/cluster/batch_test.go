@@ -9,6 +9,7 @@ package cluster_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -22,9 +23,9 @@ import (
 	"clrdse/internal/runtime"
 )
 
-// postBatch submits a batch in either encoding and decodes the result
-// set; a non-200 answer returns nil results.
-func postBatch(t *testing.T, client *http.Client, base string, events []fleet.BatchEventJSON, binary bool) (int, []fleet.BatchResultJSON) {
+// postBatchRaw submits a batch in either encoding and returns the
+// answer's status and body.
+func postBatchRaw(t *testing.T, client *http.Client, base string, events []fleet.BatchEventJSON, binary bool) (int, []byte) {
 	t.Helper()
 	var body []byte
 	var ct string
@@ -51,21 +52,29 @@ func postBatch(t *testing.T, client *http.Client, base string, events []fleet.Ba
 	if err != nil {
 		t.Fatalf("reading batch response: %v", err)
 	}
-	if resp.StatusCode != http.StatusOK {
-		return resp.StatusCode, nil
+	return resp.StatusCode, raw
+}
+
+// postBatch submits a batch in either encoding and decodes the result
+// set; a non-200 answer returns nil results.
+func postBatch(t *testing.T, client *http.Client, base string, events []fleet.BatchEventJSON, binary bool) (int, []fleet.BatchResultJSON) {
+	t.Helper()
+	status, raw := postBatchRaw(t, client, base, events, binary)
+	if status != http.StatusOK {
+		return status, nil
 	}
 	if binary {
 		results, err := fleet.DecodeBatchResponse(raw, nil)
 		if err != nil {
 			t.Fatalf("decoding binary batch response: %v", err)
 		}
-		return resp.StatusCode, results
+		return status, results
 	}
 	var br fleet.BatchResponseJSON
 	if err := json.Unmarshal(raw, &br); err != nil {
 		t.Fatalf("decoding batch response: %v", err)
 	}
-	return resp.StatusCode, br.Results
+	return status, br.Results
 }
 
 // clusterBatchScript builds a batch spanning the given devices: a
@@ -238,5 +247,54 @@ func TestClusterBatchPartialFailure(t *testing.T) {
 	}
 	if results[1].Status != http.StatusBadGateway || !strings.Contains(results[1].Error, "forward to owner failed") {
 		t.Errorf("dead-owner slot: %+v, want 502 forward failure", results[1])
+	}
+}
+
+// TestClusterBatchCap pins the cluster edge's own batch cap over both
+// encodings: fleet.MaxBatchEvents events pass the edge, and one more
+// answers 400 there. The events alternate between devices owned by
+// each of the two nodes, so each node's share of the over-cap batch is
+// under the fleet server's cap: only the edge's check can refuse it.
+func TestClusterBatchCap(t *testing.T) {
+	clus, err := fleettest.NewCluster(fleettest.ClusterOptions{Nodes: 2, TraceSeed: 71})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(clus.Close)
+	ring, err := cluster.NewRing([]string{"node-0", "node-1"}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	devs := []string{deviceOwnedBy(t, ring, "cap", "node-0"), deviceOwnedBy(t, ring, "cap", "node-1")}
+	spec := fleet.QoSSpecJSON{SMaxMs: 1, FMin: 0.5}
+	for _, binary := range []bool{false, true} {
+		for _, n := range []int{fleet.MaxBatchEvents, fleet.MaxBatchEvents + 1} {
+			events := make([]fleet.BatchEventJSON, n)
+			for i := range events {
+				events[i] = fleet.BatchEventJSON{Device: devs[i%2], Seq: uint64(i/2 + 1), QoSSpecJSON: spec}
+			}
+			status, raw := postBatchRaw(t, http.DefaultClient, clus.URLs()[0], events, binary)
+			if n <= fleet.MaxBatchEvents {
+				if status != http.StatusOK {
+					t.Fatalf("binary=%v, %d events: status %d (%s), want 200", binary, n, status, raw)
+				}
+				var results []fleet.BatchResultJSON
+				if binary {
+					results, err = fleet.DecodeBatchResponse(raw, nil)
+				} else {
+					var br fleet.BatchResponseJSON
+					err = json.Unmarshal(raw, &br)
+					results = br.Results
+				}
+				if err != nil || len(results) != n {
+					t.Fatalf("binary=%v, %d events: %d results, %v", binary, n, len(results), err)
+				}
+				continue
+			}
+			want := fmt.Sprintf("batch of %d events exceeds the %d-event cap", n, fleet.MaxBatchEvents)
+			if status != http.StatusBadRequest || !strings.Contains(string(raw), want) {
+				t.Fatalf("binary=%v, %d events: status %d (%s), want 400 %q", binary, n, status, raw, want)
+			}
+		}
 	}
 }

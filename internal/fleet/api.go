@@ -284,15 +284,16 @@ type BatchResponseJSON struct {
 	Results []BatchResultJSON `json:"results"`
 }
 
-// decisionJSONInto is decisionJSON writing into pooled scratch: every
-// field of dj is overwritten (no stale-field leaks) and dj.Plan's
-// backing array is reused. The serialised bytes stay identical to the
+// decisionJSONInto is decisionJSON writing into pooled scratch, with
+// the decision's plan given apart (see DecideOutcome.plan): every field
+// of dj is overwritten (no stale-field leaks) and dj.Plan's backing
+// array is reused. The serialised bytes stay identical to the
 // fresh-allocation path — `plan,omitempty` omits empty and nil slices
 // alike, so plan-less decisions never expose the reused capacity.
-func decisionJSONInto(dj *DecisionJSON, id string, d runtime.Decision) {
-	plan := dj.Plan[:0]
-	for _, a := range d.Plan {
-		plan = append(plan, actionJSON(a))
+func decisionJSONInto(dj *DecisionJSON, id string, d runtime.Decision, plan []mapping.Action) {
+	jplan := dj.Plan[:0]
+	for _, a := range plan {
+		jplan = append(jplan, actionJSON(a))
 	}
 	*dj = DecisionJSON{
 		Device:            id,
@@ -305,7 +306,7 @@ func decisionJSONInto(dj *DecisionJSON, id string, d runtime.Decision) {
 		BitstreamMs:       d.Cost.BitstreamMs,
 		MigratedTasks:     d.Cost.MigratedTasks,
 		ReloadedPRRs:      d.Cost.ReloadedPRRs,
-		Plan:              plan,
+		Plan:              jplan,
 	}
 }
 

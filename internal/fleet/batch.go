@@ -45,13 +45,15 @@ type batchRun struct {
 	idx    []int
 }
 
-// batchPlan is pooled scratch for DecideBatch's grouping pass.
+// batchPlan is pooled scratch for DecideBatch's grouping pass and
+// the join of its shard groups.
 type batchPlan struct {
 	runs    []batchRun
 	byDev   map[string]int   // device -> index into runs
 	byShard map[*shard][]int // shard -> indices into runs
 	shards  []*shard         // first-appearance shard order
 	idxPool [][]int          // recycled index slices
+	wg      sync.WaitGroup   // joins the shard groups handed to workers
 }
 
 var batchPlanPool = sync.Pool{New: func() any {
@@ -93,9 +95,32 @@ func (p *batchPlan) newIdx() []int {
 // for events that failed wire validation). Events for one device are
 // decided in batch order under a single semaphore acquisition, so the
 // per-device decision sequence is byte-identical to feeding the same
-// events one at a time. Distinct shards fan out concurrently — one
+// events one at a time. Distinct shards decide concurrently — one
 // goroutine per shard touched, never one per event.
 func (r *Registry) DecideBatch(ctx context.Context, events []BatchEvent, results []BatchOutcome) {
+	r.decideBatch(ctx, events, results)
+	for i := range results {
+		results[i].Out.withPlan()
+	}
+}
+
+// AppendDecideBatch is DecideBatch answered on the binary wire, the
+// batch endpoint's binary path without HTTP: it decides events into
+// results as DecideBatch does — except that a reconfiguration's
+// outcome carries the Index that decided it in place of a plan — and
+// appends the CLRB response (AppendBatchOutcomes, each plan written
+// from its index) to dst.
+func (r *Registry) AppendDecideBatch(ctx context.Context, dst []byte, events []BatchEvent, results []BatchOutcome) ([]byte, error) {
+	r.decideBatch(ctx, events, results)
+	return AppendBatchOutcomes(dst, events, results)
+}
+
+// decideBatch is DecideBatch leaving each reconfiguration's plan to
+// the encoder (see DecideOutcome.Index). The calling goroutine decides
+// the first shard's runs; every other shard's runs go to a shard
+// worker (see dispatch), so a device stalled in one shard delays only
+// the devices queued behind it in that shard.
+func (r *Registry) decideBatch(ctx context.Context, events []BatchEvent, results []BatchOutcome) {
 	if len(events) == 0 {
 		return
 	}
@@ -122,30 +147,75 @@ func (r *Registry) DecideBatch(ctx context.Context, events []BatchEvent, results
 		}
 		p.runs[ri].idx = append(p.runs[ri].idx, i)
 	}
-	if len(p.shards) == 0 {
-		// Every event was pre-failed by the caller's validation.
-	} else if len(p.shards) == 1 {
-		// Single lock domain: no fan-out, decide inline.
-		for _, ri := range p.byShard[p.shards[0]] {
-			r.decideRun(ctx, &p.runs[ri], events, results)
+	if len(p.shards) > 0 { // else every event was pre-failed
+		if n := len(p.shards) - 1; n > 0 {
+			p.wg.Add(n)
+			for _, sh := range p.shards[1:] {
+				dispatch(shardJob{r: r, ctx: ctx, p: p, runIdx: p.byShard[sh], events: events, results: results})
+			}
 		}
-	} else {
-		// Shard-level fan-out: one goroutine per shard touched keeps
-		// goroutine churn proportional to lock domains, not events.
-		var wg sync.WaitGroup
-		for _, sh := range p.shards {
-			wg.Add(1)
-			//lint:allow poolsafe wg.Wait below joins every shard goroutine before p is reset and returned to the pool
-			go func(runIdx []int) {
-				defer wg.Done()
-				for _, ri := range runIdx {
-					r.decideRun(ctx, &p.runs[ri], events, results)
-				}
-			}(p.byShard[sh])
-		}
-		wg.Wait()
+		r.decideRuns(ctx, p, p.byShard[p.shards[0]], events, results)
+		// Every shard group is joined before p is reset and pooled again.
+		p.wg.Wait()
 	}
 	batchPlanPool.Put(p)
+}
+
+// decideRuns decides the runs at runIdx, in order.
+func (r *Registry) decideRuns(ctx context.Context, p *batchPlan, runIdx []int, events []BatchEvent, results []BatchOutcome) {
+	for _, ri := range runIdx {
+		r.decideRun(ctx, &p.runs[ri], events, results)
+	}
+}
+
+// parkedWorkers is how many idle shard workers the process keeps
+// between batches: two per shard of a default registry, so a batch
+// touching every shard, and another arriving meanwhile, find theirs
+// parked.
+const parkedWorkers = 2 * DefaultShards
+
+// shardJob is one shard group of a batch, handed to a shard worker.
+type shardJob struct {
+	r       *Registry
+	ctx     context.Context
+	p       *batchPlan
+	runIdx  []int
+	events  []BatchEvent
+	results []BatchOutcome
+}
+
+// parked holds the inboxes of idle shard workers. A worker's stack
+// has grown to the decide path's depth on its first job and keeps
+// that size between jobs, so a batch's shard groups start neither a
+// goroutine nor a stack copy while enough workers are parked.
+var parked = make(chan chan shardJob, parkedWorkers)
+
+// dispatch hands job to a parked shard worker, or starts one when none
+// is parked.
+func dispatch(job shardJob) {
+	select {
+	case inbox := <-parked:
+		inbox <- job
+	default:
+		go shardWorker(job)
+	}
+}
+
+// shardWorker decides job, then parks for the next one; when the
+// parked set is full it exits instead.
+func shardWorker(job shardJob) {
+	inbox := make(chan shardJob, 1)
+	for {
+		job.r.decideRuns(job.ctx, job.p, job.runIdx, job.events, job.results)
+		job.p.wg.Done()
+		job = shardJob{} // keep nothing of a finished batch alive
+		select {
+		case parked <- inbox:
+			job = <-inbox
+		default:
+			return
+		}
+	}
 }
 
 // decideRun scores one device's run of events; an unknown device
@@ -172,10 +242,12 @@ func (r *Registry) decideRun(ctx context.Context, run *batchRun, events []BatchE
 func (r *Registry) decideDevice(ctx context.Context, d *device, idx []int, events []BatchEvent, results []BatchOutcome) {
 	// The trace ID rides the context from the edge (HTTP middleware or
 	// client call root); the registry never mints one mid-stack. One
-	// trace serves the whole run: the journal copies each event's spans
-	// out, so resetting between events is safe, and a per-event trace
-	// allocation would dominate the batch path's alloc budget.
-	tr := obs.NewTrace(obs.TraceIDFrom(ctx), r.clock)
+	// pooled trace times the whole run: the journal copies each event's
+	// spans out, so resetting between events is safe, and the trace's
+	// end closures serve run after run.
+	traceID := obs.TraceIDFrom(ctx)
+	tr := r.traces.Get().(*obs.Trace)
+	defer r.traces.Put(tr)
 	// The run's first event is timed from before the acquire, so the
 	// latency histogram sees semaphore waits on every path.
 	start := time.Now()
@@ -195,7 +267,7 @@ func (r *Registry) decideDevice(ctx context.Context, d *device, idx []int, event
 		// answer degraded without touching any state.
 		for _, i := range idx {
 			tr.Reset()
-			results[i] = BatchOutcome{Out: r.degrade(d, events[i].Seq, events[i].Spec, tr, acqErr)}
+			results[i] = BatchOutcome{Out: r.degrade(d, events[i].Seq, events[i].Spec, tr, traceID, acqErr)}
 		}
 		return
 	}
@@ -204,7 +276,7 @@ func (r *Registry) decideDevice(ctx context.Context, d *device, idx []int, event
 			start = time.Now()
 		}
 		tr.Reset()
-		out, err := r.decideLocked(ctx, d, events[i].Seq, events[i].Spec, tr)
+		out, err := r.decideLocked(ctx, d, events[i].Seq, events[i].Spec, tr, traceID)
 		if err == nil && !out.Replayed && !out.Degraded {
 			r.decisionLat.Observe(time.Since(start).Seconds())
 		}

@@ -1,6 +1,7 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"clrdse/internal/fleet"
@@ -468,4 +470,36 @@ func TestRetriesCarryOneTraceID(t *testing.T) {
 			t.Fatalf("two calls shared minted trace %q", first)
 		}
 	})
+}
+
+// TestReadBodyPresizeBound names readBody's pre-size bound: a response
+// whose Content-Length is below maxPresize gets its buffer sized once,
+// with the spare byte that meets EOF; a length at or above the bound
+// sizes nothing up front; an unknown length reads to EOF. Every row
+// returns the body's bytes.
+func TestReadBodyPresizeBound(t *testing.T) {
+	body := bytes.Repeat([]byte("clrb"), 250)
+	tests := []struct {
+		name    string
+		size    int64
+		wantCap func(c int) bool
+	}{
+		{"below the bound", int64(len(body)), func(c int) bool { return c == len(body)+1 }},
+		{"at the bound", maxPresize, func(c int) bool { return c < maxPresize }},
+		{"unknown length", -1, func(c int) bool { return c >= len(body) }},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := readBody(iotest.HalfReader(bytes.NewReader(body)), tc.size, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, body) {
+				t.Fatalf("read %d bytes, want the %d-byte body", len(got), len(body))
+			}
+			if !tc.wantCap(cap(got)) {
+				t.Errorf("buffer capacity %d for declared size %d", cap(got), tc.size)
+			}
+		})
+	}
 }

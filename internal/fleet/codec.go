@@ -39,6 +39,9 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
+
+	"clrdse/internal/mapping"
 )
 
 const (
@@ -150,17 +153,26 @@ func AppendBatchResponse(dst []byte, results []BatchResultJSON) ([]byte, error) 
 	return dst, nil
 }
 
+// planScratch pools the slice the batch encoders plan each
+// reconfiguration into (see DecideOutcome.plan): one per encode, reused
+// outcome after outcome.
+var planScratch = sync.Pool{New: func() any { return new([]mapping.Action) }}
+
 // AppendBatchOutcomes encodes the batch response to events straight
 // from the registry's outcomes (outs[i] answers events[i]): an error
 // slot answers statusFor(err) with err's text, a decision carries its
-// event's device and seq and the outcome's degraded flag. The bytes
-// are AppendBatchResponse's for the results the JSON path builds from
-// the same outcomes, through the same per-result appenders, with no
+// event's device and seq and the outcome's degraded flag, and a
+// reconfiguration its plan — the decision's own, or planned from the
+// outcome's Index into pooled scratch. The bytes are
+// AppendBatchResponse's for the results the JSON path builds from the
+// same outcomes, through the same per-result appenders, with no
 // intermediate DecisionJSON and no kind strings.
 func AppendBatchOutcomes(dst []byte, events []BatchEvent, outs []BatchOutcome) ([]byte, error) {
 	if len(outs) != len(events) {
 		return nil, fmt.Errorf("%w: %d outcomes for %d events", ErrBinCodec, len(outs), len(events))
 	}
+	scratch := planScratch.Get().(*[]mapping.Action)
+	defer planScratch.Put(scratch)
 	dst = appendBinHeader(dst, binKindResponse, len(outs))
 	for i := range outs {
 		o := &outs[i]
@@ -172,18 +184,19 @@ func AppendBatchOutcomes(dst []byte, events []BatchEvent, outs []BatchOutcome) (
 			continue
 		}
 		d := &o.Out.Decision
+		plan := o.Out.plan(scratch)
 		var err error
 		dst, err = appendBinDecision(dst, &binDecisionHead{
 			device: events[i].Device, seq: events[i].Seq, from: d.From, to: d.To,
 			flags:  binDecisionFlags(d.Reconfigured, d.Violated, o.Out.Degraded),
 			costMs: d.Cost.Total(), binaryMs: d.Cost.BinaryMigrationMs, bitstreamMs: d.Cost.BitstreamMs,
-			migrated: d.Cost.MigratedTasks, reloaded: d.Cost.ReloadedPRRs, planLen: len(d.Plan),
+			migrated: d.Cost.MigratedTasks, reloaded: d.Cost.ReloadedPRRs, planLen: len(plan),
 		})
 		if err != nil {
 			return nil, err
 		}
-		for k := range d.Plan {
-			a := &d.Plan[k]
+		for k := range plan {
+			a := &plan[k]
 			if uint(a.Kind) >= uint(len(binActionKinds)) {
 				return nil, errUnknownActionKind(a.Kind.String())
 			}

@@ -248,17 +248,22 @@ type device struct {
 	vtApplied *runtime.ValueTable
 	vtVersion atomic.Uint64
 
-	// plabels is the pprof label set stamped on this device's decide
-	// calls, built once at construction: pprof.Labels allocates, and
-	// the decide path runs per event.
-	plabels pprof.LabelSet
+	// pctx carries the pprof labels stamped on this device's decide
+	// calls. It is built on the device's first decision, under the
+	// semaphore: labels and their context allocate, the decide path
+	// runs per event, and most of a large fleet may never decide.
+	pctx context.Context
 
-	// Replay cache: the last decided sequence number and its decision.
-	// Retries of an event reuse its sequence number and are answered
-	// from here, so at-least-once delivery yields exactly-once
-	// decisions.
+	// Replay cache: the last decided sequence number, its decision and
+	// the decide index it was made on. Retries of an event reuse its
+	// sequence number and are answered from here, so at-least-once
+	// delivery yields exactly-once decisions. lastDec carries no plan
+	// when lastIx is set: a replay plans it from lastIx, the version
+	// that decided it, even after a cutover moved the device on. An
+	// imported cache carries its plan and no index.
 	lastSeq  uint64
 	lastDec  runtime.Decision
+	lastIx   *runtime.Index
 	haveLast bool
 
 	degraded  atomic.Bool  // currently degraded (clears on next success)
@@ -290,6 +295,17 @@ func (d *device) acquire(ctx context.Context) error {
 
 func (d *device) release() { <-d.sem }
 
+// labelCtx returns the context carrying the device's pprof labels,
+// building it on first use. It outlives every request, so it derives
+// from Background: a request's own labels are not merged in. The
+// caller holds the semaphore.
+func (d *device) labelCtx() context.Context {
+	if d.pctx == nil {
+		d.pctx = pprof.WithLabels(context.Background(), pprof.Labels("device", d.id, "stage", "decide"))
+	}
+	return d.pctx
+}
+
 // shard is one lock domain of the registry. Its journal is the
 // decision flight recorder for the shard's devices; appends and reads
 // are lock-free, so journaling never contends with the shard mutex.
@@ -313,6 +329,9 @@ type Registry struct {
 	// clock times decisions and journal entries; injected so tests can
 	// pin timestamps (nil in NewRegistry selects obs.NowClock).
 	clock obs.Clock
+	// traces pools the stage recorders of decide runs. A pooled trace
+	// carries no ID: a run journals its context's.
+	traces sync.Pool
 
 	met *metrics.Registry
 	// Fleet-wide instruments (per-endpoint HTTP counters live in the
@@ -394,6 +413,7 @@ func NewRegistry(dbs []NamedDatabase, shards int) (*Registry, error) {
 		r.names = append(r.names, db.Name)
 	}
 	r.clock = obs.NowClock
+	r.traces.New = func() any { return obs.NewTrace("", r.clock) }
 	for i := range r.shards {
 		r.shards[i] = &shard{
 			devices: make(map[string]*device),
@@ -517,7 +537,6 @@ func (r *Registry) Register(p DeviceParams) (*DeviceInfo, error) {
 	d := &device{
 		sem: make(chan struct{}, 1),
 		id:  p.ID, dbName: p.Database, state: st, params: p, regAt: time.Now(),
-		plabels: pprof.Labels("device", p.ID, "stage", "decide"),
 	}
 	d.db.Store(db)
 	d.mgr.Store(mgr)
@@ -571,6 +590,13 @@ type DecideOutcome struct {
 	// Decision is the answer (for Degraded outcomes: stay at the last
 	// known-good configuration).
 	Decision runtime.Decision
+	// Index is the decide index of the database version the decision
+	// was made on (nil for degraded answers and imported replays). The
+	// registry's exported methods return the plan in Decision.Plan; the
+	// HTTP encoders instead take outcomes whose reconfigurations carry
+	// no plan and write each plan from Index straight into the
+	// response (see plan).
+	Index *runtime.Index
 	// Replayed reports that the event's sequence number was already
 	// decided and the cached decision was returned unchanged.
 	Replayed bool
@@ -602,6 +628,14 @@ func (r *Registry) Decide(id string, spec runtime.QoSSpec) (runtime.Decision, er
 // flagged Degraded, and the manager state is untouched — a later retry
 // of the same sequence number re-decides for real.
 func (r *Registry) DecideCtx(ctx context.Context, id string, seq uint64, spec runtime.QoSSpec) (DecideOutcome, error) {
+	out, err := r.decideOne(ctx, id, seq, spec)
+	out.withPlan()
+	return out, err
+}
+
+// decideOne is DecideCtx leaving a reconfiguration's plan to the
+// caller (see DecideOutcome.Index).
+func (r *Registry) decideOne(ctx context.Context, id string, seq uint64, spec runtime.QoSSpec) (DecideOutcome, error) {
 	d, err := r.lookup(id)
 	if err != nil {
 		return DecideOutcome{}, err
@@ -609,7 +643,7 @@ func (r *Registry) DecideCtx(ctx context.Context, id string, seq uint64, spec ru
 	return r.decideOn(ctx, d, seq, spec)
 }
 
-// decideOn is DecideCtx after device resolution: a run of one event
+// decideOn is decideOne after device resolution: a run of one event
 // through decideDevice, the batch path's per-device step.
 func (r *Registry) decideOn(ctx context.Context, d *device, seq uint64, spec runtime.QoSSpec) (DecideOutcome, error) {
 	events := [1]BatchEvent{{Device: d.id, Seq: seq, Spec: spec}}
@@ -618,18 +652,40 @@ func (r *Registry) decideOn(ctx context.Context, d *device, seq uint64, spec run
 	return results[0].Out, results[0].Err
 }
 
+// plan returns the outcome's reconfiguration plan: the decision's own
+// when it carries one, else the transition planned from Index into
+// *scratch, which keeps the grown storage for the next outcome. Stays
+// and degraded answers have none.
+func (o *DecideOutcome) plan(scratch *[]mapping.Action) []mapping.Action {
+	d := &o.Decision
+	if d.Plan != nil || o.Index == nil || !d.Reconfigured {
+		return d.Plan
+	}
+	*scratch = o.Index.AppendPlan((*scratch)[:0], d.From, d.To)
+	return *scratch
+}
+
+// withPlan writes the plan a reconfiguration carries no plan for into
+// Decision.Plan, sized exactly: the form the exported methods return.
+func (o *DecideOutcome) withPlan() {
+	d := &o.Decision
+	if d.Plan == nil && o.Index != nil && d.Reconfigured {
+		d.Plan = o.Index.Plan(d.From, d.To)
+	}
+}
+
 // decideLocked is the decision core of decideDevice. The caller holds
 // the device semaphore — and has already ruled out the removal
 // tombstone, which cannot flip while the semaphore is held
 // (ExportRemove sets it under the same semaphore) — so one acquisition
 // can serve a whole run of events for the device. It never releases
 // the semaphore.
-func (r *Registry) decideLocked(ctx context.Context, d *device, seq uint64, spec runtime.QoSSpec, tr *obs.Trace) (DecideOutcome, error) {
+func (r *Registry) decideLocked(ctx context.Context, d *device, seq uint64, spec runtime.QoSSpec, tr *obs.Trace, traceID obs.TraceID) (DecideOutcome, error) {
 	if seq > 0 && d.haveLast {
 		if seq == d.lastSeq {
 			d.stats.Replays++
 			r.replays.Inc()
-			return DecideOutcome{Decision: d.lastDec, Replayed: true}, nil
+			return DecideOutcome{Decision: d.lastDec, Index: d.lastIx, Replayed: true}, nil
 		}
 		if seq < d.lastSeq {
 			return DecideOutcome{}, fmt.Errorf("%w: seq %d behind %d", ErrStaleSeq, seq, d.lastSeq)
@@ -637,7 +693,7 @@ func (r *Registry) decideLocked(ctx context.Context, d *device, seq uint64, spec
 	}
 	if r.hook != nil {
 		if err := r.hook(ctx, d.id, seq); err != nil {
-			return r.degrade(d, seq, spec, tr, err), nil
+			return r.degrade(d, seq, spec, tr, traceID, err), nil
 		}
 	}
 	// Converge onto the cohort's current active/candidate versions and
@@ -645,13 +701,14 @@ func (r *Registry) decideLocked(ctx context.Context, d *device, seq uint64, spec
 	// decisions, under the semaphore the caller holds.
 	r.syncVersion(d)
 	r.syncValueTable(d)
-	var dec runtime.Decision
-	var detail runtime.DecisionDetail
-	// pprof labels attribute CPU samples under the decide path to the
+	// pprof labels attribute CPU samples under the decide call to the
 	// device and stage, so a fleet-wide profile decomposes per device.
-	pprof.Do(ctx, d.plabels, func(context.Context) {
-		dec, detail = d.mgr.Load().OnQoSChangeObserved(spec, tr)
-	})
+	// They are set around the call only; the goroutine then gets the
+	// caller's labels back, as pprof.Do would restore them.
+	mgr := d.mgr.Load()
+	pprof.SetGoroutineLabels(d.labelCtx())
+	dec, detail := mgr.Decide(spec, tr)
+	pprof.SetGoroutineLabels(ctx)
 	d.stats.Decisions++
 	d.lastSpec, d.haveSpec = spec, true
 	if dec.Reconfigured {
@@ -663,14 +720,14 @@ func (r *Registry) decideLocked(ctx context.Context, d *device, seq uint64, spec
 		d.stats.Violations++
 	}
 	if seq > 0 {
-		d.lastSeq, d.lastDec, d.haveLast = seq, dec, true
+		d.lastSeq, d.lastDec, d.lastIx, d.haveLast = seq, dec, mgr.Index(), true
 	}
 	// Journal before the semaphore is released: a handoff export
 	// acquires the semaphore to snapshot, and must see the replay cache
 	// and the journal entry of the same decision together (the append
 	// itself is lock-free, so the hold grows by well under a
 	// microsecond).
-	r.journal(d, seq, spec, tr, dec, detail, false)
+	r.journal(d, traceID, seq, spec, tr, dec, detail, false)
 	// Dual-serve the event against the candidate version, if one is
 	// installed. After the journal append: the shadow never influences
 	// the served decision or the flight record.
@@ -688,13 +745,13 @@ func (r *Registry) decideLocked(ctx context.Context, d *device, seq uint64, spec
 	if dec.Violated {
 		r.violations.Inc()
 	}
-	return DecideOutcome{Decision: dec}, nil
+	return DecideOutcome{Decision: dec, Index: mgr.Index()}, nil
 }
 
 // degrade builds the last-known-good fallback outcome for a decision
 // path that faulted with err, and accounts for it. It must not assume
 // the device semaphore is held.
-func (r *Registry) degrade(d *device, seq uint64, spec runtime.QoSSpec, tr *obs.Trace, err error) DecideOutcome {
+func (r *Registry) degrade(d *device, seq uint64, spec runtime.QoSSpec, tr *obs.Trace, traceID obs.TraceID, err error) DecideOutcome {
 	cur := d.mgr.Load().Current()
 	d.degradedN.Add(1)
 	if d.degraded.CompareAndSwap(false, true) {
@@ -705,11 +762,19 @@ func (r *Registry) degrade(d *device, seq uint64, spec runtime.QoSSpec, tr *obs.
 		r.timeouts.Inc()
 	}
 	dec := runtime.Decision{From: cur, To: cur}
-	r.journal(d, seq, spec, tr, dec, runtime.DecisionDetail{}, true)
+	r.journal(d, traceID, seq, spec, tr, dec, runtime.DecisionDetail{}, true)
 	return DecideOutcome{
 		Decision: dec,
 		Degraded: true,
 	}
+}
+
+// journalEntry is a journal entry with room for the decide path's
+// spans, one per stage of obs.Stages, so an entry and its spans are one
+// allocation.
+type journalEntry struct {
+	obs.Entry
+	spans [4]obs.Span
 }
 
 // journal explains one decision into the device's shard journal and
@@ -717,9 +782,10 @@ func (r *Registry) degrade(d *device, seq uint64, spec runtime.QoSSpec, tr *obs.
 // explains decisions, and a replay repeats one — so for any (device,
 // seq) exactly one non-degraded entry exists, plus one degraded entry
 // per faulted attempt.
-func (r *Registry) journal(d *device, seq uint64, spec runtime.QoSSpec, tr *obs.Trace, dec runtime.Decision, detail runtime.DecisionDetail, degraded bool) {
-	e := &obs.Entry{
-		TraceID:      tr.ID(),
+func (r *Registry) journal(d *device, traceID obs.TraceID, seq uint64, spec runtime.QoSSpec, tr *obs.Trace, dec runtime.Decision, detail runtime.DecisionDetail, degraded bool) {
+	je := &journalEntry{}
+	je.Entry = obs.Entry{
+		TraceID:      traceID,
 		Device:       d.id,
 		Seq:          seq,
 		UnixNanos:    r.clock().UnixNano(),
@@ -736,7 +802,10 @@ func (r *Registry) journal(d *device, seq uint64, spec runtime.QoSSpec, tr *obs.
 		VTVersion:    d.vtVersion.Load(),
 		SpecSMaxMs:   spec.SMaxMs,
 		SpecFMin:     spec.FMin,
-		Stages:       append([]obs.Span(nil), tr.Spans()...),
+	}
+	e := &je.Entry
+	if spans := tr.Spans(); len(spans) > 0 {
+		e.Stages = append(je.spans[:0], spans...)
 	}
 	r.shardFor(d.id).journal.Append(e)
 	for _, s := range e.Stages {

@@ -12,7 +12,6 @@ package fleet
 
 import (
 	"fmt"
-	"runtime/pprof"
 	"sort"
 	"time"
 
@@ -116,8 +115,11 @@ func (r *Registry) exportState(d *device, tombstone bool) *DeviceState {
 		DBFingerprint: db.fp,
 	}
 	if d.haveLast {
-		dec := d.lastDec
-		st.LastDec = &dec
+		// The bundle carries the cached decision's plan, planned from the
+		// version that decided it: the importer may serve another.
+		last := DecideOutcome{Decision: d.lastDec, Index: d.lastIx}
+		last.withPlan()
+		st.LastDec = &last.Decision
 	}
 	mgr := d.mgr.Load()
 	st.Point = mgr.Current()
@@ -234,10 +236,9 @@ func (r *Registry) ImportDevice(st *DeviceState) error {
 	d := &device{
 		sem: make(chan struct{}, 1),
 		id:  p.ID, dbName: p.Database, state: dbst,
-		params:  p,
-		stats:   st.Stats,
-		regAt:   st.RegisteredAt,
-		plabels: pprof.Labels("device", p.ID, "stage", "decide"),
+		params: p,
+		stats:  st.Stats,
+		regAt:  st.RegisteredAt,
 	}
 	d.db.Store(db)
 	d.mgr.Store(mgr)

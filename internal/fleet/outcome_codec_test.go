@@ -72,9 +72,10 @@ var slotErrors = []func(dev string) error{
 
 // fuzzOutcomes builds a batch's events and outcomes from a fuzz input:
 // errors of every kind, decisions with and without plans (every action
-// kind and one out of range), degraded, replayed and violated
-// outcomes, and device IDs at and over the 64 KiB string bound.
-func fuzzOutcomes(data []byte) ([]BatchEvent, []BatchOutcome) {
+// kind and one out of range), decisions whose plan comes from the
+// decide index of db, degraded, replayed and violated outcomes, and
+// device IDs at and over the 64 KiB string bound.
+func fuzzOutcomes(data []byte, db *NamedDatabase) ([]BatchEvent, []BatchOutcome) {
 	src := &fuzzBytes{data: data}
 	n := int(src.u8() % 10)
 	events := make([]BatchEvent, n)
@@ -116,6 +117,12 @@ func fuzzOutcomes(data []byte) ([]BatchEvent, []BatchOutcome) {
 				d.Plan = plan
 			}
 		}
+		if flags&16 != 0 {
+			// The registry's form: no plan, the index that decided it.
+			n := db.index.Len()
+			d.From, d.To, d.Plan = int(src.u8())%n, int(src.u8())%n, nil
+			out.Index = db.index
+		}
 		out.Decision = d
 		outs[i].Out = out
 	}
@@ -124,21 +131,52 @@ func fuzzOutcomes(data []byte) ([]BatchEvent, []BatchOutcome) {
 
 // checkOutcomeEncoding requires AppendBatchOutcomes to write the bytes
 // AppendBatchResponse writes for the JSON path's results of the same
-// outcomes, or both to fail with the same error text.
-func checkOutcomeEncoding(t *testing.T, events []BatchEvent, outs []BatchOutcome) {
+// outcomes, or both to fail with the same error text. The reference
+// sees every plan materialised: an outcome planned from db's index
+// carries Space.Transition's plan of the same pair instead, so a plan
+// written from the index must equal it action for action. The JSON
+// path's own results from the unmaterialised outcomes must encode
+// alike.
+func checkOutcomeEncoding(t *testing.T, events []BatchEvent, outs []BatchOutcome, db *NamedDatabase) {
 	t.Helper()
+	ref := make([]BatchOutcome, len(outs))
+	for i, o := range outs {
+		d := &o.Out.Decision
+		if o.Out.Index != nil && d.Reconfigured {
+			if o.Out.Index != db.index {
+				t.Fatalf("outcome %d planned from an index other than the fixture's", i)
+			}
+			_, d.Plan = db.Space.Transition(db.DB.Points[d.From].M, db.DB.Points[d.To].M)
+		}
+		o.Out.Index = nil
+		ref[i] = o
+	}
 	got, gotErr := AppendBatchOutcomes(nil, events, outs)
-	want, wantErr := AppendBatchResponse(nil, new(batchScratch).jsonResults(events, outs))
+	want, wantErr := AppendBatchResponse(nil, new(batchScratch).jsonResults(events, ref))
+	viaJSON, viaJSONErr := AppendBatchResponse(nil, new(batchScratch).jsonResults(events, outs))
 	switch {
-	case (gotErr == nil) != (wantErr == nil):
-		t.Fatalf("direct encoder error %v, reference error %v", gotErr, wantErr)
+	case (gotErr == nil) != (wantErr == nil) || (viaJSONErr == nil) != (wantErr == nil):
+		t.Fatalf("direct encoder error %v, JSON path error %v, reference error %v", gotErr, viaJSONErr, wantErr)
 	case gotErr != nil:
-		if gotErr.Error() != wantErr.Error() {
-			t.Fatalf("direct encoder error %q, reference error %q", gotErr, wantErr)
+		if gotErr.Error() != wantErr.Error() || viaJSONErr.Error() != wantErr.Error() {
+			t.Fatalf("direct encoder error %q, JSON path error %q, reference error %q", gotErr, viaJSONErr, wantErr)
 		}
 	case !bytes.Equal(got, want):
 		t.Fatalf("direct encoding differs from the reference:\n got  %x\n want %x", got, want)
+	case !bytes.Equal(viaJSON, want):
+		t.Fatalf("JSON path encoding differs from the reference:\n got  %x\n want %x", viaJSON, want)
 	}
+}
+
+// outcomeDB is the fixture's database with its decide index, for
+// outcomes planned from an index.
+func outcomeDB(t testing.TB) *NamedDatabase {
+	t.Helper()
+	db := fleetDatabases(t)[0]
+	if err := db.build(); err != nil {
+		t.Fatal(err)
+	}
+	return &db
 }
 
 // TestBatchOutcomeEncodingCases runs the direct encoder against the
@@ -166,19 +204,33 @@ func TestBatchOutcomeEncodingCases(t *testing.T) {
 		{Decision: runtime.Decision{From: 7, To: 2, Violated: true, Reconfigured: true,
 			Cost: mapping.ReconfigCost{BinaryMigrationMs: math.Copysign(0, -1)}}},
 	}
+	// The registry's form: reconfigurations planned from the index
+	// that decided them, fresh and replayed, one with nothing to plan.
+	db := outcomeDB(t)
+	for to := 1; to < db.index.Len(); to++ {
+		if len(db.index.Plan(0, to)) == 0 {
+			continue
+		}
+		d := runtime.Decision{From: 0, To: to, Reconfigured: true}
+		decided = append(decided,
+			DecideOutcome{Decision: d, Index: db.index},
+			DecideOutcome{Decision: d, Index: db.index, Replayed: true})
+		break
+	}
+	decided = append(decided, DecideOutcome{Decision: runtime.Decision{From: 2, To: 2, Reconfigured: true}, Index: db.index})
 	for k, out := range decided {
 		events = append(events, BatchEvent{Device: fmt.Sprintf("dev-%d", k), Seq: uint64(100 + k)})
 		outs = append(outs, BatchOutcome{Out: out})
 	}
-	checkOutcomeEncoding(t, events, outs)
+	checkOutcomeEncoding(t, events, outs, db)
 
 	long := strings.Repeat("d", math.MaxUint16+1)
-	checkOutcomeEncoding(t, []BatchEvent{{Device: long}}, []BatchOutcome{{Out: decided[1]}})
-	checkOutcomeEncoding(t, []BatchEvent{{Device: long}}, []BatchOutcome{{Err: fmt.Errorf("%w: %q", ErrNoDevice, long)}})
+	checkOutcomeEncoding(t, []BatchEvent{{Device: long}}, []BatchOutcome{{Out: decided[1]}}, db)
+	checkOutcomeEncoding(t, []BatchEvent{{Device: long}}, []BatchOutcome{{Err: fmt.Errorf("%w: %q", ErrNoDevice, long)}}, db)
 	for _, kind := range []mapping.ActionKind{4, -1} {
 		bad := decided[0]
 		bad.Decision.Plan = append(append([]mapping.Action(nil), plan...), mapping.Action{Kind: kind})
-		checkOutcomeEncoding(t, events[:1], []BatchOutcome{{Out: bad}})
+		checkOutcomeEncoding(t, events[:1], []BatchOutcome{{Out: bad}}, db)
 	}
 	if _, err := AppendBatchOutcomes(nil, events, outs[1:]); !errors.Is(err, ErrBinCodec) {
 		t.Errorf("mismatched lengths: want ErrBinCodec, got %v", err)
@@ -199,8 +251,14 @@ func FuzzBatchOutcomeEncoding(f *testing.F) {
 	f.Add([]byte{4, 7, 0, 9, 0, 0, 0, 2, 4})
 	f.Add(bytes.Repeat([]byte{5, 200, 9, 1, 2, 3, 4, 31, 15, 3, 1, 2, 7, 4, 9}, 12))
 	f.Add(bytes.Repeat([]byte{3, 17, 4, 0, 0, 0, 0, 30, 8, 1, 1, 0, 0, 0, 7, 4, 1}, 9))
+	// Planned from the index: fresh, then replayed.
+	indexed := append([]byte{1, 7, 3, 0, 0, 0, 1, 31, 24, 3, 5, 3, 6}, make([]byte, 16)...)
+	f.Add(append(indexed, 3, 2, 3, 1, 0, 4, 9))
+	indexed[8] = 26
+	f.Add(append(indexed, 3, 2, 3, 1, 0, 9, 4))
+	db := outcomeDB(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		events, outs := fuzzOutcomes(data)
-		checkOutcomeEncoding(t, events, outs)
+		events, outs := fuzzOutcomes(data, db)
+		checkOutcomeEncoding(t, events, outs, db)
 	})
 }

@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"clrdse/internal/fleet/metrics"
+	"clrdse/internal/mapping"
 	"clrdse/internal/obs"
 )
 
@@ -358,12 +359,14 @@ func (s *Server) handleQoS(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.decideTO)
 	defer cancel()
-	out, err := s.reg.DecideCtx(ctx, id, qs.req.Seq, qs.req.Spec())
+	out, err := s.reg.decideOne(ctx, id, qs.req.Seq, qs.req.Spec())
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	decisionJSONInto(&qs.dj, id, out.Decision)
+	scratch := planScratch.Get().(*[]mapping.Action)
+	decisionJSONInto(&qs.dj, id, out.Decision, out.plan(scratch))
+	planScratch.Put(scratch)
 	qs.dj.Seq = qs.req.Seq
 	qs.dj.Degraded = out.Degraded
 	body, err := AppendDecision(qs.out[:0], &qs.dj)
@@ -409,13 +412,15 @@ func (bs *batchScratch) jsonResults(events []BatchEvent, outs []BatchOutcome) []
 	}
 	bs.decs = bs.decs[:len(outs)]
 	bs.results = bs.results[:0]
+	scratch := planScratch.Get().(*[]mapping.Action)
+	defer planScratch.Put(scratch)
 	for i := range outs {
 		if err := outs[i].Err; err != nil {
 			bs.results = append(bs.results, BatchResultJSON{Status: statusFor(err), Error: err.Error()})
 			continue
 		}
 		dj := &bs.decs[i]
-		decisionJSONInto(dj, events[i].Device, outs[i].Out.Decision)
+		decisionJSONInto(dj, events[i].Device, outs[i].Out.Decision, outs[i].Out.plan(scratch))
 		dj.Seq = events[i].Seq
 		dj.Degraded = outs[i].Out.Degraded
 		bs.results = append(bs.results, BatchResultJSON{Status: http.StatusOK, Decision: dj})
@@ -488,10 +493,8 @@ func (s *Server) handleDecideBatch(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.decideTO)
 	defer cancel()
-	s.reg.DecideBatch(ctx, bs.fleet, bs.outs)
-
 	if binWire {
-		out, err := AppendBatchOutcomes(bs.out[:0], bs.fleet, bs.outs)
+		out, err := s.reg.AppendDecideBatch(ctx, bs.out[:0], bs.fleet, bs.outs)
 		if err != nil {
 			writeError(w, err)
 			return
@@ -504,6 +507,7 @@ func (s *Server) handleDecideBatch(w http.ResponseWriter, r *http.Request) {
 		_, _ = w.Write(out)
 		return
 	}
+	s.reg.decideBatch(ctx, bs.fleet, bs.outs)
 	writeJSON(w, http.StatusOK, BatchResponseJSON{Results: bs.jsonResults(bs.fleet, bs.outs)})
 }
 

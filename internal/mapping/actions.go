@@ -6,9 +6,11 @@ package mapping
 // which bitstreams to stream into which PRRs, which tasks merely
 // change their reliability configuration or schedule position.
 // Transition derives that list from two configurations together with
-// the transition's cost under the model of DRC (Section 3.5); Diff
-// returns the list alone, and Residents plans transitions within a
-// frozen set from resident sets computed once.
+// the transition's cost under the model of DRC (Section 3.5), and
+// Residents prices and plans transitions within a frozen set from
+// resident sets computed once — the cost walk and the plan builder
+// separately, so a caller can price a transition now and plan it only
+// when the plan is needed.
 
 import (
 	"fmt"
@@ -79,72 +81,73 @@ func (a Action) String() string {
 	}
 }
 
-// Diff returns the imperative plan that takes the system from
-// configuration `from` to configuration `to`, ordered bitstream loads
-// first (longest latency, so they overlap with binary copies on real
-// hardware), then binary copies, then the free steps. The sum of the
-// actions' CostMs equals DRC(from, to).Total(). It is Transition's
-// plan.
-func (s *Space) Diff(from, to *Mapping) []Action {
-	_, plan := s.Transition(from, to)
-	return plan
-}
-
 // Transition returns the cost decomposition and the plan of switching
 // from configuration `from` to configuration `to`, both from one pair
-// of resident sets: the cost is DRC(from, to) and the plan Diff(from,
-// to), bit for bit. Each cost term is summed in DRC's form — binary
-// migrations in task order, bitstream loads one at a time, PRR by PRR
-// — alongside the action that realises it. Plans sit on the decision
-// hot path of deployed managers, so the resident-set scan reuses
-// pooled scratch and the plan is sized exactly (nil when empty); a
-// caller that plans many transitions over one frozen set prices them
-// through Residents instead, which computes each side once.
+// of resident sets: the cost is DRC(from, to), bit for bit, and the
+// plan orders bitstream loads first (longest latency, so they overlap
+// with binary copies on real hardware), then binary copies, then the
+// free steps; its actions' CostMs sum to the cost's Total. The
+// resident-set scan reuses pooled scratch and the plan is sized
+// exactly (nil when empty); a caller that plans many transitions over
+// one frozen set prices and plans them through Residents instead,
+// which computes each side once.
 func (s *Space) Transition(from, to *Mapping) (ReconfigCost, []Action) {
 	sc := pairPool.Get().(*drcPair)
 	rf, rt := &sc.from.res, &sc.to.res
 	s.residencyOf(from, rf)
 	s.residencyOf(to, rt)
-	cost, plan := s.transition(from, to, rf, rt)
+	cost, plan := s.transitionCost(from, to, rf, rt), s.plan(from, to, rf, rt)
 	pairPool.Put(sc)
 	return cost, plan
 }
 
-// transition is Transition given the two mappings' resident sets, rf
-// of from and rt of to.
-func (s *Space) transition(from, to *Mapping, rf, rt *residency) (ReconfigCost, []Action) {
-	// Size the plan before building it.
-	nBits, nCopies, nFrees := 0, 0, 0
+// transitionCost is the cost walk of a transition given the two
+// mappings' resident sets, rf of from and rt of to: each term summed
+// in DRC's form — binary migrations in task order, bitstream loads one
+// at a time, PRR by PRR — so its Total is DRC's bit for bit.
+func (s *Space) transitionCost(from, to *Mapping, rf, rt *residency) ReconfigCost {
+	var cost ReconfigCost
+	cost.BinaryMigrationMs, cost.MigratedTasks = s.binaryMs(from, to)
+	cost.BitstreamMs, cost.ReloadedPRRs = s.bitstreamMs(rf, rt)
+	return cost
+}
+
+// plan is appendPlan into a slice sized exactly by a counting pass;
+// nil when there is nothing to do.
+func (s *Space) plan(from, to *Mapping, rf, rt *residency) []Action {
+	n := 0
 	for prr := range s.Platform.PRRs {
-		nBits += newLoads(rf, rt, prr)
+		n += newLoads(rf, rt, prr)
 	}
 	for t := range to.Genes {
 		gf, gt := &from.Genes[t], &to.Genes[t]
 		if moved(gf, gt) && s.Graph.Tasks[t].Impls[gt.Impl].BitstreamID < 0 {
-			nCopies++
+			n++
 		}
 		if gf.CLR != gt.CLR {
-			nFrees++
+			n++
 		}
 		if gf.Prio != gt.Prio {
-			nFrees++
+			n++
 		}
 	}
-	var cost ReconfigCost
-	var actions []Action
-	if n := nBits + nCopies + nFrees; n > 0 {
-		actions = make([]Action, 0, n)
+	if n == 0 {
+		return nil
 	}
+	return s.appendPlan(make([]Action, 0, n), from, to, rf, rt)
+}
 
+// appendPlan is the plan builder: it appends the transition's actions
+// to dst, given the two mappings' resident sets. Each action's CostMs
+// is the term the cost walk adds for it.
+func (s *Space) appendPlan(dst []Action, from, to *Mapping, rf, rt *residency) []Action {
 	// Bitstream loads: newly demanded circuits per PRR, in circuit-ID
 	// order within each region (the bitset's word and bit order).
 	for prr := range s.Platform.PRRs {
 		loadMs := s.Platform.BitstreamLoadMs(s.Platform.PRRs[prr].BitstreamKB)
 		for i := 0; i < rt.w; i++ {
 			for w := newWord(rf, rt, prr, i); w != 0; w &= w - 1 {
-				cost.BitstreamMs += loadMs
-				cost.ReloadedPRRs++
-				actions = append(actions, Action{
+				dst = append(dst, Action{
 					Kind:      ActionLoadBitstream,
 					Task:      -1,
 					PE:        prrPE(s, prr),
@@ -156,37 +159,31 @@ func (s *Space) transition(from, to *Mapping, rf, rt *residency) (ReconfigCost, 
 		}
 	}
 
-	// Binary copies, then the free per-task steps. Every moved task
-	// adds its binary cost, +0.0 for an accelerator, as binaryMs does.
+	// Binary copies (an accelerator's bitstream is its binary, loaded
+	// above), then the free per-task steps.
 	for t := range to.Genes {
 		gt := &to.Genes[t]
-		if !moved(&from.Genes[t], gt) {
-			continue
-		}
-		binMs := s.binaryCost(to, t)
-		cost.BinaryMigrationMs += binMs
-		cost.MigratedTasks++
-		if s.Graph.Tasks[t].Impls[gt.Impl].BitstreamID < 0 {
-			actions = append(actions, Action{
+		if moved(&from.Genes[t], gt) && s.Graph.Tasks[t].Impls[gt.Impl].BitstreamID < 0 {
+			dst = append(dst, Action{
 				Kind:      ActionCopyBinary,
 				Task:      t,
 				PE:        gt.PE,
 				PRR:       -1,
 				Bitstream: -1,
-				CostMs:    binMs,
+				CostMs:    s.binaryCost(to, t),
 			})
 		}
 	}
 	for t := range to.Genes {
 		gf, gt := from.Genes[t], to.Genes[t]
 		if gf.CLR != gt.CLR {
-			actions = append(actions, Action{Kind: ActionSetCLR, Task: t, PE: -1, PRR: -1, Bitstream: -1})
+			dst = append(dst, Action{Kind: ActionSetCLR, Task: t, PE: -1, PRR: -1, Bitstream: -1})
 		}
 		if gf.Prio != gt.Prio {
-			actions = append(actions, Action{Kind: ActionReorder, Task: t, PE: -1, PRR: -1, Bitstream: -1})
+			dst = append(dst, Action{Kind: ActionReorder, Task: t, PE: -1, PRR: -1, Bitstream: -1})
 		}
 	}
-	return cost, actions
+	return dst
 }
 
 // Residents holds the resident set of every mapping of a frozen set —
@@ -237,11 +234,32 @@ func (r *Residents) at(p int) residency {
 	return residency{w: r.w, bits: r.bits[p*stride : (p+1)*stride : (p+1)*stride]}
 }
 
-// Transition returns Space.Transition(maps[from], maps[to]) bit for
-// bit, from the stored resident sets.
-func (r *Residents) Transition(from, to int) (ReconfigCost, []Action) {
+// Cost returns the cost of Space.Transition(maps[from], maps[to]),
+// bit for bit, from the stored resident sets, without planning it.
+func (r *Residents) Cost(from, to int) ReconfigCost {
 	rf, rt := r.at(from), r.at(to)
-	return r.space.transition(r.maps[from], r.maps[to], &rf, &rt)
+	return r.space.transitionCost(r.maps[from], r.maps[to], &rf, &rt)
+}
+
+// AppendPlan appends the plan of Space.Transition(maps[from],
+// maps[to]) to dst, action for action, from the stored resident sets.
+// A caller that plans many transitions reuses one dst.
+func (r *Residents) AppendPlan(dst []Action, from, to int) []Action {
+	rf, rt := r.at(from), r.at(to)
+	return r.space.appendPlan(dst, r.maps[from], r.maps[to], &rf, &rt)
+}
+
+// Plan is AppendPlan into a plan of its own, sized exactly (nil when
+// empty): Space.Transition(maps[from], maps[to])'s plan.
+func (r *Residents) Plan(from, to int) []Action {
+	rf, rt := r.at(from), r.at(to)
+	return r.space.plan(r.maps[from], r.maps[to], &rf, &rt)
+}
+
+// Transition returns Space.Transition(maps[from], maps[to]) bit for
+// bit: Cost and Plan of the pair.
+func (r *Residents) Transition(from, to int) (ReconfigCost, []Action) {
+	return r.Cost(from, to), r.Plan(from, to)
 }
 
 // prrPE returns the PE backed by the given PRR, or -1.
@@ -252,13 +270,4 @@ func prrPE(s *Space, prr int) int {
 		}
 	}
 	return -1
-}
-
-// PlanCost sums the actions' costs.
-func PlanCost(actions []Action) float64 {
-	total := 0.0
-	for _, a := range actions {
-		total += a.CostMs
-	}
-	return total
 }

@@ -9,6 +9,22 @@ import (
 	"clrdse/internal/rng"
 )
 
+// Diff returns Transition's plan alone: the plan-only view the plan
+// oracles below and in drc_ref_test.go and drcmatrix_test.go check.
+func (s *Space) Diff(from, to *Mapping) []Action {
+	_, plan := s.Transition(from, to)
+	return plan
+}
+
+// PlanCost sums the actions' costs.
+func PlanCost(actions []Action) float64 {
+	total := 0.0
+	for _, a := range actions {
+		total += a.CostMs
+	}
+	return total
+}
+
 func TestDiffCostMatchesDRC(t *testing.T) {
 	s := testSpace(t, 30)
 	r := rng.New(21)

@@ -14,9 +14,9 @@ package mapping
 //     never look at the cost decomposition;
 //   - DRCMatrix: the |DB|x|DB| table of totals, precomputed once per
 //     database and shared read-only by any number of managers (a
-//     realised transition's decomposition and plan come from one walk
-//     over the two resident sets, Residents.Transition, and are not
-//     kept);
+//     realised transition's decomposition and plan come from the two
+//     stored resident sets, Residents.Cost and Residents.AppendPlan,
+//     and are not kept);
 //   - DRCCache: a lazily-memoised average-distance cache for
 //     configurations outside the database (ReD candidates).
 //

@@ -43,12 +43,10 @@ func (c ReconfigCost) Total() float64 { return c.BinaryMigrationMs + c.Bitstream
 // (binaryMs, then bitstreamMs), so Total() is bit-identical to
 // DRCTotal.
 func (s *Space) DRC(from, to *Mapping) ReconfigCost {
-	var cost ReconfigCost
-	cost.BinaryMigrationMs, cost.MigratedTasks = s.binaryMs(from, to)
 	sc := pairPool.Get().(*drcPair)
 	s.residencyOf(from, &sc.from.res)
 	s.residencyOf(to, &sc.to.res)
-	cost.BitstreamMs, cost.ReloadedPRRs = s.bitstreamMs(&sc.from.res, &sc.to.res)
+	cost := s.transitionCost(from, to, &sc.from.res, &sc.to.res)
 	pairPool.Put(sc)
 	return cost
 }

@@ -187,7 +187,8 @@ func TestTransitionMatchesDRCAndDiff(t *testing.T) {
 
 // TestTransitionAllocations pins Transition and Residents.Transition to
 // one allocation, the exactly sized plan, and to none when nothing is
-// to be done.
+// to be done; the cost walk plus AppendPlan into a reused slice
+// allocate nothing.
 func TestTransitionAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled scratch at random")
@@ -207,5 +208,40 @@ func TestTransitionAllocations(t *testing.T) {
 	}
 	if a := testing.AllocsPerRun(200, func() { r.Transition(1, 1) }); a != 0 {
 		t.Errorf("Residents.Transition to the same mapping allocates %v times per call, want 0", a)
+	}
+	dst := r.AppendPlan(nil, 0, 1)
+	if a := testing.AllocsPerRun(200, func() { r.Cost(0, 1); dst = r.AppendPlan(dst[:0], 0, 1) }); a != 0 {
+		t.Errorf("Residents.Cost plus AppendPlan into a reused slice allocate %v times per call, want 0", a)
+	}
+}
+
+// TestResidentsCostAndAppendPlan holds the two halves of a transition
+// to their composition: on every ordered pair of each dRC reference
+// case, Residents.Cost is Transition's cost and AppendPlan appends
+// Transition's plan after whatever dst already holds, into one reused
+// slice.
+func TestResidentsCostAndAppendPlan(t *testing.T) {
+	prefix := Action{Kind: ActionReorder, Task: 99, PE: -1, PRR: -1, Bitstream: -1}
+	var dst []Action
+	for _, c := range drcRefCases(t) {
+		r := NewResidents(c.space, c.maps)
+		for i := range c.maps {
+			for j := range c.maps {
+				where := fmt.Sprintf("%s pair (%d,%d)", c.name, i, j)
+				cost, plan := r.Transition(i, j)
+				if got := r.Cost(i, j); got != cost || math.Float64bits(got.Total()) != math.Float64bits(cost.Total()) {
+					t.Fatalf("%s: Cost %+v, Transition's %+v", where, got, cost)
+				}
+				dst = r.AppendPlan(append(dst[:0], prefix), i, j)
+				if len(dst) != 1+len(plan) || dst[0] != prefix {
+					t.Fatalf("%s: AppendPlan wrote %d actions after the prefix, Transition plans %d", where, len(dst)-1, len(plan))
+				}
+				for k, a := range plan {
+					if dst[1+k] != a || math.Float64bits(dst[1+k].CostMs) != math.Float64bits(a.CostMs) {
+						t.Fatalf("%s: appended action %d is %+v, Transition's %+v", where, k, dst[1+k], a)
+					}
+				}
+			}
+		}
 	}
 }

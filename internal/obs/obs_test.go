@@ -110,6 +110,35 @@ func TestTraceSpans(t *testing.T) {
 	}
 }
 
+// TestTraceReusesEndClosures pins the batch path's span budget: once
+// each stage has run, timing it again — on the same trace after a
+// Reset — allocates nothing, and the spans stay right.
+func TestTraceReusesEndClosures(t *testing.T) {
+	clk := &fakeClock{t: time.Unix(0, 0), step: time.Millisecond}
+	tr := NewTrace("0123456789abcdef", clk.now)
+	event := func() {
+		tr.Reset()
+		end := tr.Stage(StageFilter)
+		end()
+		tr.Stage(StageScore)()
+		tr.Stage(StageSwitch)()
+		tr.Stage(StageAgent)()
+	}
+	event()
+	if a := testing.AllocsPerRun(100, event); a != 0 {
+		t.Errorf("timing four stages allocates %v times per event, want 0", a)
+	}
+	spans := tr.Spans()
+	if len(spans) != 4 {
+		t.Fatalf("got %d spans, want 4: %+v", len(spans), spans)
+	}
+	for i, name := range Stages() {
+		if spans[i].Name != name || spans[i].Seconds != 0.001 {
+			t.Errorf("span %d = %+v, want %s of 0.001 s", i, spans[i], name)
+		}
+	}
+}
+
 func TestNewTraceNilClock(t *testing.T) {
 	tr := NewTrace("0123456789abcdef", nil)
 	tr.Stage(StageFilter)()

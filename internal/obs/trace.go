@@ -1,5 +1,7 @@
 package obs
 
+import "time"
+
 // Stage names of the decide path, in execution order. The runtime
 // layer reports spans under these names; the fleet layer feeds them
 // into the clr_decision_stage_seconds histograms.
@@ -8,7 +10,9 @@ const (
 	StageFilter = "filter"
 	// StageScore is the uRA/AuRA (or hypervolume) scoring pass.
 	StageScore = "score"
-	// StageSwitch is building the imperative reconfiguration plan.
+	// StageSwitch is pricing the transition to the chosen point: its
+	// dRC decomposition. The imperative plan is built outside the
+	// stage, where and when a caller needs it.
 	StageSwitch = "switch"
 	// StageAgent is the AuRA agent's online value update.
 	StageAgent = "agent_update"
@@ -31,10 +35,25 @@ type Span struct {
 // is not safe for concurrent use: one trace belongs to one request,
 // which runs the decide path sequentially. The zero Trace is not
 // usable; build one with NewTrace.
+//
+// A trace builds one end closure per stage name, on the stage's first
+// Stage call, and hands it out again on every later one: a batch that
+// times thousands of decisions on one trace (see Reset) allocates
+// nothing per span. A stage is open at most once at a time: calling
+// Stage for a stage whose end has not run restarts it.
 type Trace struct {
-	id    TraceID
-	clock Clock
-	spans []Span
+	id     TraceID
+	clock  Clock
+	spans  []Span
+	stages []openStage
+}
+
+// openStage is one stage name's reusable span state: when it last
+// started, and the closure that ends it.
+type openStage struct {
+	name  string
+	start time.Time
+	end   func()
 }
 
 // NewTrace opens a trace. A nil clock selects NowClock.
@@ -42,16 +61,16 @@ func NewTrace(id TraceID, clock Clock) *Trace {
 	if clock == nil {
 		clock = NowClock
 	}
-	return &Trace{id: id, clock: clock, spans: make([]Span, 0, 4)}
+	return &Trace{id: id, clock: clock, spans: make([]Span, 0, 4), stages: make([]openStage, 0, 4)}
 }
 
 // ID returns the trace's ID.
 func (t *Trace) ID() TraceID { return t.id }
 
-// Reset discards the ended spans, keeping the ID, clock and span
-// storage: a batch run can time each event on one trace instead of
-// allocating one per event. The caller must have copied out any spans
-// it still needs (Spans returns the trace's own storage).
+// Reset discards the ended spans, keeping the ID, clock, span storage
+// and end closures: a batch run can time each event on one trace
+// instead of allocating one per event. The caller must have copied out
+// any spans it still needs (Spans returns the trace's own storage).
 func (t *Trace) Reset() { t.spans = t.spans[:0] }
 
 // Stage opens a span and returns the closure that ends it. The
@@ -69,13 +88,29 @@ func (t *Trace) Reset() { t.spans = t.spans[:0] }
 // the tracectx analyzer flags a discarded end closure. Stage
 // implements the runtime layer's StageRecorder contract.
 func (t *Trace) Stage(name string) func() {
-	start := t.clock()
-	return func() {
-		t.spans = append(t.spans, Span{
-			Name:    name,
-			Seconds: t.clock().Sub(start).Seconds(),
-		})
+	st := &t.stages[t.stage(name)]
+	st.start = t.clock()
+	return st.end
+}
+
+// stage returns the index of name's span state, adding it with its end
+// closure on the name's first use.
+func (t *Trace) stage(name string) int {
+	for i := range t.stages {
+		if t.stages[i].name == name {
+			return i
+		}
 	}
+	i := len(t.stages)
+	t.stages = append(t.stages, openStage{name: name, end: func() { t.endStage(i) }})
+	return i
+}
+
+// endStage ends stage i's span: the span records the time since the
+// stage's last start.
+func (t *Trace) endStage(i int) {
+	st := &t.stages[i]
+	t.spans = append(t.spans, Span{Name: st.name, Seconds: t.clock().Sub(st.start).Seconds()})
 }
 
 // Spans returns the ended spans in end order. The returned slice is

@@ -146,6 +146,17 @@ func (ix *Index) Matrix() *mapping.DRCMatrix { return ix.mat }
 // Len returns the number of stored points.
 func (ix *Index) Len() int { return len(ix.en) }
 
+// AppendPlan appends the reconfiguration plan from stored point from
+// to stored point to onto dst: what OnQoSChange returns as the plan of
+// that transition, action for action.
+func (ix *Index) AppendPlan(dst []mapping.Action, from, to int) []mapping.Action {
+	return ix.res.AppendPlan(dst, from, to)
+}
+
+// Plan is AppendPlan into a plan of its own, sized exactly (nil when
+// from == to or nothing moves).
+func (ix *Index) Plan(from, to int) []mapping.Action { return ix.res.Plan(from, to) }
+
 // feasibleSet is a spec's feasible set, Algorithm 1 line 3, without
 // materialising it: the point IDs set in both rows, a byMs row and a
 // byRel row of equal length.

@@ -253,7 +253,7 @@ func (m *refManager) onQoSChange(spec QoSSpec) (Decision, DecisionDetail) {
 	if next != m.cur {
 		d.Reconfigured = true
 		d.Cost = cost
-		d.Plan = m.sim.p.Space.Diff(m.sim.maps[m.cur], m.sim.maps[next])
+		_, d.Plan = m.sim.p.Space.Transition(m.sim.maps[m.cur], m.sim.maps[next])
 	}
 	m.events++
 	if ag := m.sim.p.Agent; ag != nil {

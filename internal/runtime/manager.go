@@ -154,15 +154,28 @@ func (m *Manager) OnQoSChange(spec QoSSpec) Decision {
 // to OnQoSChange's for the same state and spec; observation never
 // influences the choice.
 func (m *Manager) OnQoSChangeObserved(spec QoSSpec, rec StageRecorder) (Decision, DecisionDetail) {
+	d, detail := m.Decide(spec, rec)
+	if d.Reconfigured {
+		d.Plan = m.d.ix.Plan(d.From, d.To)
+	}
+	return d, detail
+}
+
+// Decide is OnQoSChangeObserved without the plan: the same choice,
+// cost decomposition, agent update, event clock and spans, with
+// Decision.Plan left nil. The switch stage prices the transition only.
+// The plan is a pure function of the decide index and the two points,
+// so a caller that needs it later — a server encoding its answer —
+// writes it with Index().AppendPlan(dst, d.From, d.To), or Plan.
+func (m *Manager) Decide(spec QoSSpec, rec StageRecorder) (Decision, DecisionDetail) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	ix := m.d.ix
 	next, violated, detail := m.d.decide(m.cur, spec, rec)
 	d := Decision{From: m.cur, To: next, Violated: violated}
 	if next != m.cur {
 		d.Reconfigured = true
 		endSwitch := startStage(rec, StageSwitch)
-		d.Cost, d.Plan = ix.res.Transition(m.cur, next)
+		d.Cost = m.d.ix.res.Cost(m.cur, next)
 		endSwitch()
 	}
 	m.advance(next, d.Cost.Total(), rec)

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -95,8 +96,12 @@ func TestManagerPlansRealiseTransitions(t *testing.T) {
 	}
 	d := mgr.OnQoSChange(QoSSpec{SMaxMs: spec.SMaxMs, FMin: maxF})
 	if d.Reconfigured {
-		if mapping.PlanCost(d.Plan) != d.Cost.Total() {
-			t.Errorf("plan cost %v != decision cost %v", mapping.PlanCost(d.Plan), d.Cost.Total())
+		planCost := 0.0
+		for _, a := range d.Plan {
+			planCost += a.CostMs
+		}
+		if planCost != d.Cost.Total() {
+			t.Errorf("plan cost %v != decision cost %v", planCost, d.Cost.Total())
 		}
 		if !strings.Contains(d.Describe(), "reconfigure") {
 			t.Errorf("describe = %q", d.Describe())
@@ -133,6 +138,56 @@ func TestManagerWithAgentLearns(t *testing.T) {
 	}
 	if p.Agent.Episodes == 0 {
 		t.Error("agent completed no episodes over 300 events")
+	}
+}
+
+// TestManagerDecideIsOnQoSChangeWithoutPlan holds Decide to
+// OnQoSChange: two AuRA managers fed one stream choose, price and learn
+// identically; Decide leaves the plan out, and the index plans it back
+// action for action.
+func TestManagerDecideIsOnQoSChangeWithoutPlan(t *testing.T) {
+	f := getFixture(t)
+	boot := func() *Manager {
+		p, spec := managerParams(t)
+		p.Agent = NewAgentForDB(f.base, 0.8, 0)
+		p.Trigger = TriggerAlways
+		mgr, err := NewManager(p, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mgr
+	}
+	planned, priced := boot(), boot()
+	q := ModelFromDatabase(f.base)
+	r := newSpecStreamRNG(93)
+	stream := q.Stream()
+	var plan []mapping.Action
+	reconfigs := 0
+	for i := 0; i < 400; i++ {
+		spec := stream.Next(r)
+		want := planned.OnQoSChange(spec)
+		got, _ := priced.Decide(spec, nil)
+		if got.Plan != nil {
+			t.Fatalf("event %d: Decide returned a plan", i)
+		}
+		plan = priced.Index().AppendPlan(plan[:0], got.From, got.To)
+		if len(plan) == 0 {
+			plan = nil
+		}
+		got.Plan = plan
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("event %d: Decide plus the index's plan = %+v, OnQoSChange = %+v", i, got, want)
+		}
+		if got.Reconfigured {
+			reconfigs++
+		}
+	}
+	if reconfigs == 0 {
+		t.Fatal("no reconfiguration in 400 events")
+	}
+	if planned.Events() != priced.Events() || planned.Current() != priced.Current() {
+		t.Fatalf("managers drifted apart: (%d events, point %d) vs (%d, %d)",
+			planned.Events(), planned.Current(), priced.Events(), priced.Current())
 	}
 }
 

@@ -17,7 +17,8 @@ const (
 	StageFilter = obs.StageFilter
 	// StageScore is the uRA/AuRA (or hypervolume) scoring pass.
 	StageScore = obs.StageScore
-	// StageSwitch is building the imperative reconfiguration plan.
+	// StageSwitch is pricing the transition to the chosen point (its
+	// cost decomposition); the plan is built outside the stage.
 	StageSwitch = obs.StageSwitch
 	// StageAgent is the AuRA agent's online value update.
 	StageAgent = obs.StageAgent

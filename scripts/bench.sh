@@ -37,7 +37,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-pat="${1:-BenchmarkDRC\$|BenchmarkAvgDRC\$|BenchmarkDecide\$|BenchmarkReD\$|BenchmarkScheduleEvaluate\$|BenchmarkFleetDecisionThroughput\$|BenchmarkFleetDecisionThroughputLargeDB\$|BenchmarkFleetBatchThroughput\$|BenchmarkShadowDecide\$|BenchmarkDecisionJSON\$|BenchmarkDecideLargeDB\$|BenchmarkDecideFleet\$|BenchmarkBatchResponseDecode\$|BenchmarkBatchResponseEncode\$}"
+pat="${1:-BenchmarkDRC\$|BenchmarkAvgDRC\$|BenchmarkDecide\$|BenchmarkReD\$|BenchmarkScheduleEvaluate\$|BenchmarkFleetDecisionThroughput\$|BenchmarkFleetDecisionThroughputLargeDB\$|BenchmarkFleetBatchThroughput\$|BenchmarkShadowDecide\$|BenchmarkDecisionJSON\$|BenchmarkDecideLargeDB\$|BenchmarkDecideFleet\$|BenchmarkBatchResponseDecode\$|BenchmarkBatchResponseEncode\$|BenchmarkRegistryDecideBatch\$}"
 label="${2:-run}"
 gate="${3:-0}" # max tolerated ns/op regression in percent; 0 = warn only
 
